@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.graphx.{Edge, Graph, VertexId}
-import org.apache.spark.sql.functions._
-
 /** Compressed-sparse-row adjacency for the undirected bipartite graph.
   *
   * Node ids follow [[LakeGraph]]: values in `[0, numValues)`, attributes in
@@ -65,41 +62,12 @@ object Csr {
   }
 }
 
-/** Bridges between the relational [[LakeGraph]], GraphX, and the CSR used
-  * by centrality kernels.
-  */
+/** Bridge from the [[LakeGraph]] to the CSR used by centrality kernels. */
 object BipartiteGraph {
 
-  /** The lake graph as a GraphX graph. Vertex attribute is `true` for
-    * value nodes, `false` for attribute nodes.
+  /** The graph's adjacency. [[LakeGraph.build]] builds it on the driver,
+    * where the centrality kernels broadcast it and parallelise over BFS
+    * sources with Spark.
     */
-  def toGraphX(g: LakeGraph): Graph[Boolean, Int] = {
-    val spark = g.edges.sparkSession
-    import spark.implicits._
-    val edgeRdd = g.edges
-      .select(col("valueId").cast("long"), col("attrId").cast("long"))
-      .as[(Long, Long)]
-      .rdd
-      .map { case (v, a) => Edge(v: VertexId, a: VertexId, 1) }
-    val nv = g.numValues
-    Graph.fromEdges(edgeRdd, defaultValue = false)
-      .mapVertices((id, _) => id < nv)
-  }
-
-  /** Collect the (distributed) edge list into a broadcastable CSR.
-    *
-    * The graph topology is compact even when the lake is large (the paper's
-    * biggest graph has 2.3M edges); centrality kernels then parallelise
-    * over BFS sources with Spark while sharing the topology via broadcast.
-    * Edges are routed through GraphX so the same object drives both the
-    * distributed graph view and the in-memory kernels.
-    */
-  def toCsr(g: LakeGraph): Csr = {
-    val n = g.numNodes.toInt
-    val nv = g.numValues.toInt
-    val edgePairs = toGraphX(g).edges
-      .map(e => (e.srcId.toInt, e.dstId.toInt))
-      .collect()
-    Csr.fromEdges(n, nv, edgePairs.iterator)
-  }
+  def toCsr(g: LakeGraph): Csr = g.csr
 }

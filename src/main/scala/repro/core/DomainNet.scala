@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.lake.DataLake
 
 /** End-to-end DomainNet pipeline (paper §3.4):
@@ -23,32 +22,28 @@ object DomainNet {
   /** Bipartite local clustering coefficient. */
   case object LCC extends Measure
 
-  /** A scored lake: graph + per-value scores joined back to value strings.
+  /** A scored lake.
     *
-    * @param scores DataFrame `(value, valueId, score, rank)` where rank 1
-    *               is the strongest homograph candidate
+    * @param score per-value score by value id, rounded to 1e-9
+    * @param order value ids, strongest homograph candidate first
     */
-  final case class Result(graph: LakeGraph, csr: Csr, scores: DataFrame) {
+  final case class Result(graph: LakeGraph, score: Array[Double], order: Array[Int]) {
 
     /** Top-k candidate value strings, strongest first. */
-    def topK(k: Int): Seq[String] = {
-      import scores.sparkSession.implicits._
-      scores.orderBy("rank").limit(k).select("value").as[String].collect().toSeq
-    }
+    def topK(k: Int): Seq[String] = order.iterator.take(k).map(graph.valueNames(_)).toSeq
   }
 
   /** Build the graph and score every value node with `measure`. */
   def run(spark: SparkSession, lake: DataLake, measure: Measure): Result = {
     val graph = LakeGraph.build(lake)
-    val csr = BipartiteGraph.toCsr(graph)
-    score(spark, graph, csr, measure)
+    score(spark, graph, BipartiteGraph.toCsr(graph), measure)
   }
 
   /** Score a pre-built graph (lets callers reuse one graph for several
-    * measures, as the benches do).
+    * measures, as the benches do). `csr` is the graph's adjacency,
+    * [[BipartiteGraph.toCsr]].
     */
   def score(spark: SparkSession, graph: LakeGraph, csr: Csr, measure: Measure): Result = {
-    val nv = csr.numValues
     val (rawScores, ascending) = measure match {
       case ExactBC            => (Betweenness.exact(spark, csr, normalized = true), false)
       case ApproxBC(s, seed)  => (Betweenness.approximate(spark, csr, s, seed, normalized = true), false)
@@ -58,19 +53,16 @@ object DomainNet {
     // order follows task completion; round away the resulting float noise
     // (all scores here are normalized to [0, 1]) so that genuinely tied
     // nodes always fall back to the valueId tie-break deterministically.
-    val raw = rawScores.map(s => math.rint(s * 1e9) / 1e9)
-    import spark.implicits._
-    val valueScores = (0 until nv).map(i => (i.toLong, raw(i))).toDF("valueId", "score")
-    val ordered =
-      if (ascending) valueScores.orderBy(col("score").asc, col("valueId").asc)
-      else valueScores.orderBy(col("score").desc, col("valueId").asc)
-    // Deterministic dense ranking via zipWithIndex (no single-partition window).
-    val ranked = ordered
-      .as[(Long, Double)]
-      .rdd
-      .zipWithIndex()
-      .map { case ((id, s), r) => (id, s, r + 1) }
-      .toDF("valueId", "score", "rank")
-    Result(graph, csr, ranked.join(graph.values, "valueId").select("value", "valueId", "score", "rank"))
+    val score = Array.tabulate(csr.numValues)(i => math.rint(rawScores(i) * 1e9) / 1e9)
+    Result(graph, score, rank(score, ascending))
+  }
+
+  /** Value ids by score, ascending or descending, ties broken by ascending
+    * value id.
+    */
+  def rank(score: Array[Double], ascending: Boolean): Array[Int] = {
+    val byScore = if (ascending) Ordering.Double.TotalOrdering else Ordering.Double.TotalOrdering.reverse
+    // a stable sort of ids already in ascending order keeps ties by id
+    Array.range(0, score.length).sortBy(score(_))(byScore)
   }
 }

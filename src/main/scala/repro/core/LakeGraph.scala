@@ -4,47 +4,48 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.lake.DataLake
 
-/** The DomainNet bipartite graph, relational view.
+/** The DomainNet bipartite graph, held on the driver.
   *
   * Node ids are contiguous: value nodes occupy `[0, numValues)` and
   * attribute nodes `[numValues, numValues + numAttrs)`, so centrality
-  * kernels can use dense arrays indexed by node id.
+  * kernels can use dense arrays indexed by node id. Within each part, ids
+  * follow Spark's string order (unsigned UTF-8 bytes, see [[LakeGraph.Utf8Order]]).
   *
-  * @param values  DataFrame `(value: String, id: Long)` — one row per
-  *                distinct normalized value kept after preprocessing
-  * @param attrs   DataFrame `(attribute: String, id: Long)`
-  * @param edges   DataFrame `(valueId: Long, attrId: Long)` — distinct
-  *                bipartite edges
-  * @param numValues number of value nodes
-  * @param numAttrs  number of attribute nodes
+  * @param valueNames value strings by value id
+  * @param attrNames  attribute names by `attrId - numValues`
+  * @param csr        the symmetric adjacency over both parts
   */
-final case class LakeGraph(
-    values: DataFrame,
-    attrs: DataFrame,
-    edges: DataFrame,
-    numValues: Long,
-    numAttrs: Long) {
+final class LakeGraph private[core] (
+    spark: SparkSession,
+    val valueNames: Array[String],
+    val attrNames: Array[String],
+    val csr: Csr) {
 
-  def numNodes: Long = numValues + numAttrs
+  def numValues: Int = valueNames.length
 
-  def numEdges: Long = edges.count()
+  def numAttrs: Int = attrNames.length
 
-  /** Edges with the string forms joined back in: `(value, attribute, valueId, attrId)`. */
-  def namedEdges: DataFrame =
-    edges.join(values, "valueId").join(attrs, "attrId")
-      .select("value", "attribute", "valueId", "attrId")
+  def numNodes: Int = numValues + numAttrs
 
-  /** Per-value number of attributes it appears in (the value node degree). */
-  def valueDegrees: DataFrame =
-    edges.groupBy("valueId").agg(count(lit(1)).as("degree"))
+  def numEdges: Int = csr.numEdges
 
-  /** Per-attribute number of distinct values (the attribute cardinality). */
-  def attrCardinalities: DataFrame =
-    edges.groupBy("attrId").agg(count(lit(1)).as("cardinality"))
+  /** DataFrame `(value: String, valueId: Long)`, one row per value node.
+    * A local relation over [[valueNames]]: reading it runs no Spark job.
+    */
+  lazy val values: DataFrame = {
+    import spark.implicits._
+    valueNames.iterator.zipWithIndex.map { case (v, i) => (v, i.toLong) }.toSeq.toDF("value", "valueId")
+  }
+
+  /** DataFrame `(attribute: String, attrId: Long)`, one row per attribute node. */
+  lazy val attrs: DataFrame = {
+    import spark.implicits._
+    attrNames.iterator.zipWithIndex.map { case (a, i) => (a, (numValues + i).toLong) }.toSeq.toDF("attribute", "attrId")
+  }
 
   /** Values appearing in at least two attributes — the homograph candidates. */
-  def candidateValues: DataFrame =
-    valueDegrees.filter(col("degree") >= 2).join(values, "valueId").select("value", "valueId", "degree")
+  def candidateValues: Seq[String] =
+    (0 until numValues).filter(csr.degree(_) >= 2).map(valueNames(_))
 }
 
 object LakeGraph {
@@ -65,6 +66,35 @@ object LakeGraph {
       .select(col("attribute"), normalizeCol(col("value")).as("value"))
       .filter(col("value").isNotNull)
 
+  /** Spark's string order: unsigned UTF-8 bytes, which is code point order.
+    * `String.compareTo` compares UTF-16 units instead and puts a
+    * supplementary character (a surrogate pair) before U+E000..U+FFFF.
+    */
+  object Utf8Order extends Ordering[String] {
+    def compare(a: String, b: String): Int = {
+      var i = 0
+      var j = 0
+      while (i < a.length && j < b.length) {
+        val ca = a.codePointAt(i)
+        val cb = b.codePointAt(j)
+        if (ca != cb) return Integer.compare(ca, cb)
+        i += Character.charCount(ca)
+        j += Character.charCount(cb)
+      }
+      Integer.compare(a.length - i, b.length - j)
+    }
+  }
+
+  /** Node ids and CSR offsets are `Int`s: every node id must fit, and so
+    * must the adjacency array, which holds each edge twice.
+    */
+  def requireIntIds(numValues: Long, numAttrs: Long, numEdges: Long): Unit = {
+    require(numValues + numAttrs <= Int.MaxValue,
+      s"$numValues values + $numAttrs attributes exceed the Int node-id space")
+    require(2 * numEdges <= Int.MaxValue,
+      s"$numEdges edges exceed the Int adjacency space (2 entries per edge)")
+  }
+
   /** Build the bipartite graph.
     *
     * Preprocessing per the paper (§5): values that occur exactly once in
@@ -72,41 +102,34 @@ object LakeGraph {
     * down centrality computation. Values occurring multiple times (even in
     * a single attribute) are kept.
     *
+    * One Spark aggregation groups the normalized cells by value, counting
+    * cells and collecting the value's attribute set; the kept rows are
+    * collected, and ids and the [[Csr]] are built on the driver. The driver
+    * therefore holds O(values + edges) strings; `spark.driver.maxResultSize`
+    * bounds the collect.
+    *
     * @param minOccurrences minimum number of *cells* a value must occupy to
     *                       be kept (paper uses 2)
     */
   def build(lake: DataLake, minOccurrences: Int = 2): LakeGraph = {
     val spark = lake.cells.sparkSession
-    val cells = normalizedCells(lake)
-
-    val kept = cells
-      .groupBy("value")
-      .agg(count(lit(1)).as("occ"))
-      .filter(col("occ") >= minOccurrences)
-      .select("value")
-
-    val edgesStr = cells.join(kept, "value").select("value", "attribute").distinct()
-
-    // Deterministic contiguous ids: sort then zip. zipWithIndex avoids a
-    // single-partition window at lake scale.
-    val values = zipId(edgesStr.select("value").distinct().orderBy("value"), "value", "valueId", 0L)
-    val nv = values.count()
-    val attrs = zipId(edgesStr.select("attribute").distinct().orderBy("attribute"), "attribute", "attrId", nv)
-    val na = attrs.count()
-
-    val edges = edgesStr
-      .join(values, "value")
-      .join(attrs, "attribute")
-      .select("valueId", "attrId")
-
-    LakeGraph(values, attrs, edges, nv, na)
-  }
-
-  private def zipId(sorted: DataFrame, colName: String, idName: String, offset: Long): DataFrame = {
-    val spark = sorted.sparkSession
     import spark.implicits._
-    val rdd = sorted.select(colName).as[String].rdd.zipWithIndex()
-      .map { case (v, i) => (v, i + offset) }
-    rdd.toDF(colName, idName)
+    val rows = normalizedCells(lake)
+      .groupBy("value")
+      .agg(count(lit(1)).as("occ"), collect_set("attribute").as("attrs"))
+      .filter(col("occ") >= minOccurrences)
+      .select("value", "attrs")
+      .as[(String, Array[String])]
+      .collect()
+      .sortBy(_._1)(Utf8Order)
+
+    val valueNames = rows.map(_._1)
+    val attrNames = rows.iterator.flatMap(_._2).toArray.distinct.sorted(Utf8Order)
+    val nv = valueNames.length
+    requireIntIds(nv.toLong, attrNames.length.toLong, rows.iterator.map(_._2.length.toLong).sum)
+
+    val attrId = attrNames.iterator.zipWithIndex.map { case (a, i) => a -> (nv + i) }.toMap
+    val edges = rows.iterator.zipWithIndex.flatMap { case ((_, as), v) => as.iterator.map(a => (v, attrId(a))) }
+    new LakeGraph(spark, valueNames, attrNames, Csr.fromEdges(nv + attrNames.length, nv, edges))
   }
 }

@@ -1,7 +1,6 @@
 package repro.d4
 
-import org.apache.spark.graphx.{Edge, Graph, VertexId}
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.core.LakeGraph
 import repro.lake.DataLake
@@ -27,8 +26,10 @@ import repro.lake.DataLake
   *      homographs are missed (the paper: "D4 at times placing homographs
   *      into a domain represented by their most popular meaning").
   *
-  * Pipeline: DataFrame relational stages for cells/overlaps/supports, and
-  * GraphX connected components for the column-clustering stage.
+  * Pipeline: DataFrame relational stages for cells, column overlaps and
+  * supports; the similar column pairs and the supports are collected, and
+  * column clustering (union-find over at most a few thousand columns) and
+  * dominant-meaning pruning run on the driver.
   */
 object D4 {
 
@@ -39,98 +40,103 @@ object D4 {
     */
   final case class Config(tau: Double = 0.4, dominance: Double = 0.6, minDomainCols: Int = 2)
 
-  /** @param numDomains        number of discovered domains
-    * @param columnDomains     DataFrame `(attribute, domainId)`
-    * @param valueAssignments  DataFrame `(value, domainId, support)` after
-    *                          dominant-meaning pruning
-    * @param homographs        values assigned to >= 2 domains
-    * @param coveredColumns    number of columns that received a domain
+  /** @param columnDomains   domain id of every column that received one;
+    *                        a domain is labelled by the smallest id of its
+    *                        columns in Spark's string order
+    * @param domainsPerValue number of domains of every value assigned one,
+    *                        after dominant-meaning pruning
     */
-  final case class Result(
-      numDomains: Int,
-      columnDomains: DataFrame,
-      valueAssignments: DataFrame,
-      homographs: Set[String],
-      coveredColumns: Long) {
+  final case class Result(columnDomains: Map[String, Long], domainsPerValue: Map[String, Int]) {
 
-    /** Values assigned to more than one domain, with their domain count. */
-    def multiDomainValueCount: Long =
-      valueAssignments.groupBy("value").agg(countDistinct("domainId").as("nd"))
-        .filter(col("nd") >= 2).count()
+    /** Number of discovered domains. */
+    def numDomains: Int = columnDomains.values.toSet.size
+
+    /** Number of columns that received a domain. */
+    def coveredColumns: Long = columnDomains.size.toLong
+
+    /** Values assigned to >= 2 domains. */
+    lazy val homographs: Set[String] = domainsPerValue.collect { case (v, n) if n >= 2 => v }.toSet
+
+    /** Values assigned to more than one domain. */
+    def multiDomainValueCount: Long = homographs.size.toLong
 
     /** Average number of domains per assigned value (paper §5.5 reports the
       * analogous per-column statistic for D4).
       */
-    def avgDomainsPerValue: Double = {
-      val row = valueAssignments.groupBy("value").agg(countDistinct("domainId").as("nd"))
-        .agg(avg("nd").as("a")).collect()(0)
-      if (row.isNullAt(0)) 0.0 else row.getDouble(0)
-    }
+    def avgDomainsPerValue: Double =
+      if (domainsPerValue.isEmpty) 0.0 else domainsPerValue.values.sum.toDouble / domainsPerValue.size
   }
 
   def run(spark: SparkSession, lake: DataLake, config: Config = Config()): Result = {
     import spark.implicits._
-    val cells = LakeGraph.normalizedCells(lake).cache()
-
     // Distinct (value, attribute) with occurrence counts (support weights).
-    val occ = cells.groupBy("value", "attribute").agg(count(lit(1)).as("occ")).cache()
-    val edges = occ.select("value", "attribute")
+    val occ = LakeGraph.normalizedCells(lake)
+      .groupBy("value", "attribute").agg(count(lit(1)).as("occ")).cache()
+    try {
+      val edges = occ.select("value", "attribute")
+      val cards = edges.groupBy("attribute").agg(count(lit(1)).as("card")).as[(String, Long)].collect()
 
-    val cards = edges.groupBy("attribute").agg(count(lit(1)).as("card"))
+      // Column-pair overlap and Jaccard similarity.
+      val e1 = edges.toDF("value", "a1")
+      val e2 = edges.toDF("value", "a2")
+      val overlaps = e1.join(e2, "value")
+        .filter(col("a1") < col("a2"))
+        .groupBy("a1", "a2")
+        .agg(count(lit(1)).as("overlap"))
+      val c1 = cards.toSeq.toDF("a1", "card1")
+      val c2 = cards.toSeq.toDF("a2", "card2")
+      val simPairs = overlaps.join(c1, "a1").join(c2, "a2")
+        .withColumn("jaccard",
+          col("overlap") / (col("card1") + col("card2") - col("overlap")))
+        .filter(col("jaccard") >= config.tau)
+        .select("a1", "a2")
+        .as[(String, String)]
+        .collect()
 
-    // Column-pair overlap and Jaccard similarity.
-    val e1 = edges.toDF("value", "a1")
-    val e2 = edges.toDF("value", "a2")
-    val overlaps = e1.join(e2, "value")
-      .filter(col("a1") < col("a2"))
-      .groupBy("a1", "a2")
-      .agg(count(lit(1)).as("overlap"))
-    val c1 = cards.toDF("a1", "card1")
-    val c2 = cards.toDF("a2", "card2")
-    val simPairs = overlaps.join(c1, "a1").join(c2, "a2")
-      .withColumn("jaccard",
-        col("overlap") / (col("card1") + col("card2") - col("overlap")))
-      .filter(col("jaccard") >= config.tau)
-      .select("a1", "a2")
+      // Column clustering: connected components over the similar pairs.
+      val columns = cards.map(_._1).sorted(LakeGraph.Utf8Order)
+      val columnDomains = clusterColumns(columns, simPairs, config.minDomainCols)
 
-    // Column clustering: GraphX connected components over similar pairs.
-    val attrIds = edges.select("attribute").distinct().orderBy("attribute")
-      .as[String].rdd.zipWithIndex().toDF("attribute", "aid")
-    val i1 = attrIds.toDF("a1", "id1")
-    val i2 = attrIds.toDF("a2", "id2")
-    val pairIds = simPairs.join(i1, "a1").join(i2, "a2")
-      .select(col("id1").cast("long"), col("id2").cast("long"))
-      .as[(Long, Long)].rdd
-      .map { case (x, y) => Edge(x: VertexId, y: VertexId, 1) }
-    val vertices = attrIds.select(col("aid").cast("long")).as[Long].rdd.map(id => (id, ()))
-    val cc = Graph(vertices, pairIds).connectedComponents().vertices.toDF("aid", "component")
+      // Value support per domain (total occurrences in the domain's columns),
+      // then dominant-meaning pruning.
+      val support = occ.join(columnDomains.toSeq.toDF("attribute", "domainId"), "attribute")
+        .groupBy("value", "domainId")
+        .agg(sum("occ").as("support"))
+        .select("value", "support")
+        .as[(String, Long)]
+        .collect()
+      val domainsPerValue = support.groupMap(_._1)(_._2).map { case (v, s) =>
+        val best = s.max
+        v -> s.count(_ >= config.dominance * best)
+      }
+      Result(columnDomains, domainsPerValue)
+    } finally occ.unpersist()
+  }
 
-    // Domains: components with >= minDomainCols columns.
-    val componentSizes = cc.groupBy("component").agg(count(lit(1)).as("size"))
-    val domains = componentSizes.filter(col("size") >= config.minDomainCols).select("component")
-    val columnDomains = attrIds.join(cc, "aid").join(domains, "component")
-      .select(col("attribute"), col("component").as("domainId"))
-      .cache()
-
-    // Value support per domain (total occurrences in the domain's columns),
-    // then dominant-meaning pruning.
-    val support = occ.join(columnDomains, "attribute")
-      .groupBy("value", "domainId")
-      .agg(sum("occ").as("support"))
-    val maxSupport = support.groupBy("value").agg(max("support").as("maxSupport"))
-    val valueAssignments = support.join(maxSupport, "value")
-      .filter(col("support") >= lit(config.dominance) * col("maxSupport"))
-      .select("value", "domainId", "support")
-      .cache()
-
-    val homographs = valueAssignments
-      .groupBy("value").agg(countDistinct("domainId").as("nd"))
-      .filter(col("nd") >= 2)
-      .select("value").as[String].collect().toSet
-
-    val numDomains = domains.count().toInt
-    val covered = columnDomains.count()
-    cells.unpersist(); occ.unpersist()
-    Result(numDomains, columnDomains, valueAssignments, homographs, covered)
+  /** Connected components of the column-similarity graph, by union-find.
+    * Returns the domain id of every column in a component of at least
+    * `minDomainCols` columns; a component is labelled by its smallest
+    * column index in `columns`.
+    */
+  private[d4] def clusterColumns(
+      columns: Array[String],
+      similar: Array[(String, String)],
+      minDomainCols: Int): Map[String, Long] = {
+    val index = columns.zipWithIndex.toMap
+    val parent = Array.range(0, columns.length)
+    def find(x: Int): Int = {
+      var r = x
+      while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }
+      r
+    }
+    // Linking the larger root under the smaller keeps every root the
+    // smallest index of its component.
+    similar.foreach { case (a, b) =>
+      val ra = find(index(a)); val rb = find(index(b))
+      if (ra < rb) parent(rb) = ra else if (rb < ra) parent(ra) = rb
+    }
+    val root = columns.indices.map(find)
+    val size = root.groupMapReduce(identity)(_ => 1)(_ + _)
+    columns.indices.collect { case i if size(root(i)) >= minDomainCols => columns(i) -> root(i).toLong }.toMap
   }
 }

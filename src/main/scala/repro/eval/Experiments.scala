@@ -12,14 +12,6 @@ import repro.lake.DataLake
   */
 object Experiments {
 
-  /** Collect the value-id -> string mapping of a graph. */
-  def valueStrings(graph: LakeGraph): Array[String] = {
-    import graph.values.sparkSession.implicits._
-    val arr = new Array[String](graph.numValues.toInt)
-    graph.values.as[(String, Long)].collect().foreach { case (v, id) => arr(id.toInt) = v }
-    arr
-  }
-
   /** Rank value strings by score (descending). Deterministic tie-break by id. */
   def rankDescending(scores: Array[Double], names: Array[String]): Seq[String] =
     names.indices.sortBy(i => (-scores(i), i)).map(names)
@@ -54,7 +46,7 @@ object Experiments {
 
     val graph = LakeGraph.build(sb.lake)
     val csr = BipartiteGraph.toCsr(graph)
-    val names = valueStrings(graph)
+    val names = graph.valueNames
 
     val bc = Betweenness.exact(spark, csr, normalized = true)
     val bcRanking = rankDescending(bc.take(csr.numValues), names)
@@ -109,7 +101,7 @@ object Experiments {
     val lake = inj.spec.toLake(spark)
     val graph = LakeGraph.build(lake)
     val csr = BipartiteGraph.toCsr(graph)
-    val names = valueStrings(graph)
+    val names = graph.valueNames
     val samples = math.max(500, (csr.numNodes * bcSampleFrac).toInt)
     val bc = Betweenness.approximate(spark, csr, samples, seed = seed + 5)
     val top = rankDescending(bc.take(csr.numValues), names).take(count).toSet
@@ -155,7 +147,7 @@ object Experiments {
     val lake = spec.toLake(spark)
     val graph = LakeGraph.build(lake)
     val csr = BipartiteGraph.toCsr(graph)
-    val names = valueStrings(graph)
+    val names = graph.valueNames
     val samples = math.max(500, (csr.numNodes * bcSampleFrac).toInt)
     val bc = Betweenness.approximate(spark, csr, samples, seed = params.seed + 3, normalized = true)
     val ranking = rankDescending(bc.take(csr.numValues), names)

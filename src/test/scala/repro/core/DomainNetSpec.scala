@@ -28,11 +28,45 @@ class DomainNetSpec extends SparkSpec {
     assert(res.topK(1) === Seq("JAGUAR"))
   }
 
-  test("scores DataFrame has one ranked row per value node") {
+  test("order ranks every value node exactly once") {
     val res = DomainNet.run(spark, lake, DomainNet.ExactBC)
+    assert(res.order.sorted.toSeq === (0 until res.graph.numValues))
+    assert(res.score.length === res.graph.numValues)
+    assert(res.topK(res.graph.numValues) === res.order.map(res.graph.valueNames(_)).toSeq)
+  }
+
+  test("rank orders like a Spark orderBy on score with a valueId tie-break") {
     import spark.implicits._
-    val rows = res.scores.select("rank").as[Long].collect().sorted
-    assert(rows.toSeq === (1L to res.graph.numValues))
+    import org.apache.spark.sql.functions.col
+    val score = Array(0.5, 0.0, 0.25, 0.5, 1.0, 0.0, 0.25, 1e-9, 0.5)
+    val df = score.toSeq.zipWithIndex.map { case (s, i) => (i, s) }.toDF("valueId", "score")
+    for (ascending <- Seq(true, false)) {
+      val bySpark = df.orderBy(if (ascending) col("score").asc else col("score").desc, col("valueId").asc)
+        .select("valueId").as[Int].collect()
+      assert(DomainNet.rank(score, ascending).toSeq === bySpark.toSeq, s"ascending=$ascending")
+    }
+  }
+
+  test("empty and all-singleton lakes give an empty ranking for every measure") {
+    val empty = DataLake.ofColumns(spark)
+    val singletons = DataLake.ofColumns(spark, "T.a" -> Seq("x", "y"), "T.b" -> Seq("z"))
+    for (l <- Seq(empty, singletons);
+         m <- Seq(DomainNet.ExactBC, DomainNet.ApproxBC(numSamples = 3), DomainNet.LCC)) {
+      val res = DomainNet.run(spark, l, m)
+      assert(res.graph.numNodes === 0)
+      assert(res.order.isEmpty && res.topK(10).isEmpty, s"$m")
+    }
+  }
+
+  test("run leaves no persisted RDDs behind") {
+    // a lake no other test uses, so no cached plan from an earlier run is reused
+    val fresh = DataLake.ofColumns(spark,
+      "P1.fish" -> Seq("COD", "EEL", "COD", "EEL"),
+      "P2.fish" -> Seq("COD", "RAY", "RAY"))
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    for (m <- Seq(DomainNet.ExactBC, DomainNet.ApproxBC(numSamples = 2), DomainNet.LCC))
+      assert(DomainNet.run(spark, fresh, m).topK(3).size === 3, s"$m")
+    assert(spark.sparkContext.getPersistentRDDs.keySet === before)
   }
 
   test("ranking is deterministic across runs") {
@@ -43,9 +77,7 @@ class DomainNetSpec extends SparkSpec {
 
   test("BC scores in the result are normalized to [0, 1]") {
     val res = DomainNet.run(spark, lake, DomainNet.ExactBC)
-    import spark.implicits._
-    val scores = res.scores.select("score").as[Double].collect()
-    assert(scores.forall(s => s >= 0.0 && s <= 1.0))
+    assert(res.score.forall(s => s >= 0.0 && s <= 1.0))
   }
 
   test("score() reuses a pre-built graph consistently with run()") {

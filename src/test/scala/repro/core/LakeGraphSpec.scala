@@ -40,12 +40,48 @@ class LakeGraphSpec extends SparkSpec {
   }
 
   test("graph build is deterministic") {
-    import spark.implicits._
     val g1 = LakeGraph.build(smallLake)
     val g2 = LakeGraph.build(smallLake)
-    assert(g1.values.as[(String, Long)].collect().sortBy(_._2).toSeq ===
-           g2.values.as[(String, Long)].collect().sortBy(_._2).toSeq)
-    assert(g1.edges.as[(Long, Long)].collect().toSet === g2.edges.as[(Long, Long)].collect().toSet)
+    assert(g1.valueNames.toSeq === g2.valueNames.toSeq)
+    assert(g1.attrNames.toSeq === g2.attrNames.toSeq)
+    assert(g1.csr.offsets.toSeq === g2.csr.offsets.toSeq)
+    assert(g1.csr.neighbors.toSeq === g2.csr.neighbors.toSeq)
+  }
+
+  test("value and attribute ids follow Spark's string order, not String.compareTo") {
+    import spark.implicits._
+    // U+FFFD sorts before U+1F600 in UTF-8 (and code point) order, after
+    // it in UTF-16 order, where the emoji is a surrogate pair starting 0xD83D.
+    val odd = Seq("a", "ab", "z", "é", "\uFFFD", "\uFFFDx", "😀", "😀x", "Ω")
+    val lake = DataLake.ofColumns(spark,
+      "T.é" -> odd, "T.\uFFFD" -> odd.take(4), "T.😀" -> odd.drop(4), "T.z" -> Seq("ab"))
+    val g = LakeGraph.build(lake)
+    val cells = LakeGraph.normalizedCells(lake)
+    val values = cells.select("value").distinct().orderBy("value").as[String].collect().toSeq
+    val attrs = cells.select("attribute").distinct().orderBy("attribute").as[String].collect().toSeq
+    assert(g.valueNames.toSeq === values)
+    assert(g.attrNames.toSeq === attrs)
+    assert(values.sorted !== values, "the lake must tell UTF-16 order from UTF-8 order")
+    assert(g.values.as[(String, Long)].collect().toSeq === values.zipWithIndex.map { case (v, i) => (v, i.toLong) })
+    assert(g.attrs.as[(String, Long)].collect().toSeq ===
+      attrs.zipWithIndex.map { case (a, i) => (a, (values.size + i).toLong) })
+  }
+
+  test("valueNames returns the id-indexed value vocabulary") {
+    val lake = DataLake.ofColumns(spark,
+      "T.a" -> Seq("x", "y", "x", "y"),
+      "T.b" -> Seq("x", "z", "z", "q", "q"))
+    val g = LakeGraph.build(lake)
+    assert(g.valueNames.length === g.numValues)
+    assert(g.valueNames.toSet === Set("X", "Y", "Z", "Q"))
+    // ids are assigned in sorted-value order
+    assert(g.valueNames.sorted.sameElements(g.valueNames))
+  }
+
+  test("requireIntIds bounds node ids and adjacency entries by Int") {
+    LakeGraph.requireIntIds(Int.MaxValue - 5L, 5L, Int.MaxValue / 2)
+    intercept[IllegalArgumentException](LakeGraph.requireIntIds(Int.MaxValue - 5L, 6L, 0L))
+    intercept[IllegalArgumentException](LakeGraph.requireIntIds(1L, 1L, Int.MaxValue / 2 + 1L))
   }
 
   test("value degrees and attribute cardinalities agree with DuckDB") {
@@ -73,8 +109,7 @@ class LakeGraphSpec extends SparkSpec {
       "T.a" -> Seq("x", "y", "y"),
       "T.b" -> Seq("x", "z", "z"))
     val g = LakeGraph.build(lake)
-    val cands = g.candidateValues.select("value").as[String].collect().toSet
-    assert(cands === Set("X")) // y and z repeat but only within one column
+    assert(g.candidateValues.toSet === Set("X")) // y and z repeat but only within one column
   }
 
   test("pruning with minOccurrences=1 keeps every distinct value") {
@@ -84,33 +119,37 @@ class LakeGraphSpec extends SparkSpec {
 
   test("CSR matches the DataFrame edge list") {
     import spark.implicits._
-    val g = LakeGraph.build(smallLake, minOccurrences = 1)
+    val lake = smallLake
+    val g = LakeGraph.build(lake, minOccurrences = 1)
     val csr = BipartiteGraph.toCsr(g)
-    assert(csr.numNodes === g.numNodes.toInt)
-    assert(csr.numEdges === g.numEdges.toInt)
-    val dfEdges = g.edges.as[(Long, Long)].collect()
-      .map { case (v, a) => (v.toInt, a.toInt) }.toSet
-    val csrEdges = (0 until csr.numValues).flatMap(v => csr.neighborsOf(v).map(a => (v, a))).toSet
-    assert(csrEdges === dfEdges)
+    val dfEdges = LakeGraph.normalizedCells(lake).distinct()
+      .join(g.values, "value").join(g.attrs, "attribute")
+      .select($"valueId".cast("int"), $"attrId".cast("int"))
+      .as[(Int, Int)].collect()
+    assert(csr.numNodes === g.numNodes)
+    assert(csr.numEdges === dfEdges.length)
+    val csrEdges = (0 until csr.numValues).flatMap(v => csr.neighborsOf(v).map(a => (v, a)))
+    assert(csrEdges.toSet === dfEdges.toSet)
   }
 
-  test("GraphX degrees agree with DataFrame degrees") {
-    val g = LakeGraph.build(smallLake, minOccurrences = 1)
-    val gx = BipartiteGraph.toGraphX(g)
-    val gxDegrees = gx.degrees.collect().toMap
+  test("CSR value degrees and attribute cardinalities agree with DuckDB") {
     import spark.implicits._
-    val dfDegrees = g.edges.groupBy("valueId").agg(count(lit(1)).as("d"))
-      .as[(Long, Long)].collect().toMap
-    dfDegrees.foreach { case (id, d) =>
-      assert(gxDegrees(id) === d.toInt, s"valueId=$id")
-    }
-  }
-
-  test("GraphX marks value vertices true and attribute vertices false") {
-    val g = LakeGraph.build(smallLake, minOccurrences = 1)
-    val gx = BipartiteGraph.toGraphX(g)
-    gx.vertices.collect().foreach { case (id, isValue) =>
-      assert(isValue === (id < g.numValues))
+    val lake = smallLake
+    for (minOcc <- Seq(1, 2)) {
+      val g = LakeGraph.build(lake, minOccurrences = minOcc)
+      val names = g.valueNames ++ g.attrNames
+      val fromCsr = (0 until g.numNodes).map { v =>
+        (if (v < g.numValues) "V" else "A", names(v), g.csr.degree(v).toLong)
+      }.toDF("kind", "name", "n")
+      Oracle.assertEquivalent(fromCsr,
+        s"""WITH c AS (SELECT attribute, upper(trim(value)) AS value FROM cells
+           |           WHERE value IS NOT NULL AND trim(value) <> ''),
+           |     k AS (SELECT value FROM c GROUP BY value HAVING count(*) >= $minOcc),
+           |     e AS (SELECT DISTINCT c.value, c.attribute FROM c JOIN k USING (value))
+           |SELECT 'V' AS kind, value AS name, count(*) AS n FROM e GROUP BY value
+           |UNION ALL
+           |SELECT 'A' AS kind, attribute AS name, count(*) AS n FROM e GROUP BY attribute""".stripMargin,
+        "cells" -> lake.cells)
     }
   }
 }

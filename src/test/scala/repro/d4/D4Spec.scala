@@ -90,4 +90,24 @@ class D4Spec extends SparkSpec {
     assert(r.homographs.isEmpty)
     assert(r.avgDomainsPerValue === 0.0)
   }
+
+  test("run leaves no persisted RDDs behind") {
+    // a lake no other test uses, so no cached plan from an earlier run is reused
+    val lake = DataLake.ofColumns(spark,
+      "P1.fish" -> Seq("COD", "EEL", "RAY"),
+      "P2.fish" -> Seq("COD", "EEL", "GAR"))
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val r = D4.run(spark, lake)
+    assert(r.numDomains === 1)
+    assert(spark.sparkContext.getPersistentRDDs.keySet === before)
+  }
+
+  test("column clusters are labelled by their smallest column index") {
+    val columns = Array("a", "b", "c", "d", "e", "f")
+    val similar = Array("f" -> "d", "e" -> "b", "d" -> "c", "b" -> "e")
+    assert(D4.clusterColumns(columns, similar, minDomainCols = 2) ===
+      Map("b" -> 1L, "e" -> 1L, "c" -> 2L, "d" -> 2L, "f" -> 2L))
+    assert(D4.clusterColumns(columns, similar, minDomainCols = 1)("a") === 0L)
+    assert(D4.clusterColumns(columns, similar, minDomainCols = 3).keySet === Set("c", "d", "f"))
+  }
 }

@@ -7,18 +7,6 @@ import repro.lake.DataLake
 
 class ExperimentsSpec extends SparkSpec {
 
-  test("valueStrings returns the id-indexed value vocabulary") {
-    val lake = DataLake.ofColumns(spark,
-      "T.a" -> Seq("x", "y", "x", "y"),
-      "T.b" -> Seq("x", "z", "z", "q", "q"))
-    val g = LakeGraph.build(lake)
-    val names = Experiments.valueStrings(g)
-    assert(names.length === g.numValues)
-    assert(names.toSet === Set("X", "Y", "Z", "Q"))
-    // ids are assigned in sorted-value order
-    assert(names.sorted.sameElements(names))
-  }
-
   test("rankDescending and rankAscending order by score with stable ties") {
     val names = Array("a", "b", "c", "d")
     val scores = Array(1.0, 3.0, 1.0, 2.0)
