@@ -13,7 +13,9 @@ import org.apache.spark.sql.SparkSession
   * Distribution strategy (per the reproduction's distributed-dataflow
   * design): the graph topology is broadcast as a [[Csr]]; BFS sources are
   * distributed over Spark partitions; each task accumulates a dense
-  * per-partition dependency vector which are then tree-reduced. This is the
+  * per-partition dependency vector. The driver collects the vectors and
+  * sums them in partition order, so it briefly holds one `numNodes` vector
+  * per partition (at most 4 × the default parallelism). This is the
   * standard way to scale Brandes when the topology fits in memory but the
   * O(n·m) work does not fit on one core.
   *
@@ -27,7 +29,7 @@ object Betweenness {
   /** Exact BC for every node. O(n·m) work split across the cluster. */
   def exact(spark: SparkSession, csr: Csr, normalized: Boolean = false): Array[Double] = {
     val n = csr.numNodes
-    val scores = compute(spark, csr, (0 until n).toArray, scale = 1.0)
+    val scores = compute(spark, csr, (0 until n).toArray, scale = 1.0, defaultSlices(spark, n))
     if (normalized) normalize(scores) else scores
   }
 
@@ -45,9 +47,12 @@ object Betweenness {
     if (numSamples >= n) return exact(spark, csr, normalized)
     val rnd = new scala.util.Random(seed)
     val sources = sampleWithoutReplacement(n, numSamples, rnd)
-    val scores = compute(spark, csr, sources, scale = n.toDouble / numSamples)
+    val scores = compute(spark, csr, sources, scale = n.toDouble / numSamples, defaultSlices(spark, numSamples))
     if (normalized) normalize(scores) else scores
   }
+
+  private def defaultSlices(spark: SparkSession, numSources: Int): Int =
+    math.max(1, math.min(numSources, spark.sparkContext.defaultParallelism * 4))
 
   private def normalize(scores: Array[Double]): Array[Double] = {
     val n = scores.length
@@ -67,16 +72,19 @@ object Betweenness {
     java.util.Arrays.copyOf(idx, k)
   }
 
-  private def compute(
+  /** Brandes from every source in `sources`, split into `slices` Spark
+    * partitions, each dependency scaled by `scale`.
+    */
+  private[core] def compute(
       spark: SparkSession,
       csr: Csr,
       sources: Array[Int],
-      scale: Double): Array[Double] = {
+      scale: Double,
+      slices: Int): Array[Double] = {
     val n = csr.numNodes
     val sc = spark.sparkContext
     val bc = sc.broadcast(csr)
-    val slices = math.max(1, math.min(sources.length, sc.defaultParallelism * 4))
-    val summed = sc
+    val partial = sc
       .parallelize(sources.toIndexedSeq, slices)
       .mapPartitions { srcIt =>
         val g = bc.value
@@ -85,12 +93,15 @@ object Betweenness {
         srcIt.foreach(s => brandesFrom(g, s, state, acc))
         Iterator.single(acc)
       }
-      .treeReduce { (a, b) =>
-        var i = 0
-        while (i < a.length) { a(i) += b(i); i += 1 }
-        a
-      }
+      .collect()
     bc.destroy()
+    // Summed in partition order, not task-completion order, so a run is
+    // reproducible bit for bit.
+    val summed = new Array[Double](n)
+    partial.foreach { acc =>
+      var i = 0
+      while (i < n) { summed(i) += acc(i); i += 1 }
+    }
     if (scale != 1.0) {
       var i = 0
       while (i < n) { summed(i) *= scale; i += 1 }

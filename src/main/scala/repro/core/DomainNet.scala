@@ -49,10 +49,11 @@ object DomainNet {
       case ApproxBC(s, seed)  => (Betweenness.approximate(spark, csr, s, seed, normalized = true), false)
       case LCC                => (Lcc.compute(spark, csr), true)
     }
-    // BC sums per-source dependencies with a tree reduction whose combine
-    // order follows task completion; round away the resulting float noise
+    // BC sums per-source dependencies in partition order, so one run is
+    // reproducible, but the partitioning follows the default parallelism
+    // and a different split rounds differently. Round that float noise away
     // (all scores here are normalized to [0, 1]) so that genuinely tied
-    // nodes always fall back to the valueId tie-break deterministically.
+    // nodes always fall back to the valueId tie-break.
     val score = Array.tabulate(csr.numValues)(i => math.rint(rawScores(i) * 1e9) / 1e9)
     Result(graph, score, rank(score, ascending))
   }

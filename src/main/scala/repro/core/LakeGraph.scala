@@ -53,6 +53,12 @@ object LakeGraph {
   /** Normalize a raw cell value the way the paper does: treat it as a
     * single string, trim surrounding whitespace, upper-case it. Empty and
     * null values normalize to null (dropped from the graph).
+    *
+    * "Whitespace" is Spark's `trim`: only U+0020 spaces are stripped, so a
+    * value padded with a tab, a newline or a no-break space (U+00A0) stays
+    * distinct from the bare value. DuckDB's `trim`, which the oracle tests
+    * use, also strips U+00A0 and the other Unicode space separators, so
+    * oracle tests keep such padding out of their inputs.
     */
   val normalizeCol: org.apache.spark.sql.Column => org.apache.spark.sql.Column =
     c => {

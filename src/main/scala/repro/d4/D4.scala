@@ -1,5 +1,6 @@
 package repro.d4
 
+import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.core.LakeGraph
@@ -26,10 +27,14 @@ import repro.lake.DataLake
   *      homographs are missed (the paper: "D4 at times placing homographs
   *      into a domain represented by their most popular meaning").
   *
-  * Pipeline: DataFrame relational stages for cells, column overlaps and
-  * supports; the similar column pairs and the supports are collected, and
-  * column clustering (union-find over at most a few thousand columns) and
-  * dominant-meaning pruning run on the driver.
+  * Pipeline: one Spark aggregation counts the occurrences of every
+  * distinct (value, attribute) pair of the normalized cells and is
+  * collected; column cardinalities and overlaps, the Jaccard threshold,
+  * column clustering (union-find over at most a few thousand columns),
+  * per-domain supports and dominant-meaning pruning run on the driver.
+  * The driver therefore holds O(distinct (value, attribute) pairs)
+  * strings; unlike [[LakeGraph.build]] this count includes values that
+  * occur only once. `spark.driver.maxResultSize` bounds the collect.
   */
 object D4 {
 
@@ -69,48 +74,80 @@ object D4 {
 
   def run(spark: SparkSession, lake: DataLake, config: Config = Config()): Result = {
     import spark.implicits._
-    // Distinct (value, attribute) with occurrence counts (support weights).
-    val occ = LakeGraph.normalizedCells(lake)
-      .groupBy("value", "attribute").agg(count(lit(1)).as("occ")).cache()
-    try {
-      val edges = occ.select("value", "attribute")
-      val cards = edges.groupBy("attribute").agg(count(lit(1)).as("card")).as[(String, Long)].collect()
+    val rows = LakeGraph.normalizedCells(lake)
+      .groupBy("value", "attribute").agg(count(lit(1)).as("occ"))
+      .as[(String, String, Long)]
+      .collect()
+    discover(rows, config)
+  }
 
-      // Column-pair overlap and Jaccard similarity.
-      val e1 = edges.toDF("value", "a1")
-      val e2 = edges.toDF("value", "a2")
-      val overlaps = e1.join(e2, "value")
-        .filter(col("a1") < col("a2"))
-        .groupBy("a1", "a2")
-        .agg(count(lit(1)).as("overlap"))
-      val c1 = cards.toSeq.toDF("a1", "card1")
-      val c2 = cards.toSeq.toDF("a2", "card2")
-      val simPairs = overlaps.join(c1, "a1").join(c2, "a2")
-        .withColumn("jaccard",
-          col("overlap") / (col("card1") + col("card2") - col("overlap")))
-        .filter(col("jaccard") >= config.tau)
-        .select("a1", "a2")
-        .as[(String, String)]
-        .collect()
+  /** The driver part of [[run]], over its collected distinct
+    * `(value, attribute, occurrences)` rows.
+    */
+  private[d4] def discover(rows: Array[(String, String, Long)], config: Config): Result = {
+    val columns = rows.iterator.map(_._2).toArray.distinct.sorted(LakeGraph.Utf8Order)
+    val columnDomains = clusterColumns(columns, similarPairs(rows, columns, config.tau), config.minDomainCols)
+    // Dominant-meaning pruning of each value's domains.
+    val domainsPerValue = supports(rows, columnDomains).groupMap(_._1._1)(_._2).map { case (v, s) =>
+      val best = s.max
+      v -> s.count(_ >= config.dominance * best)
+    }
+    Result(columnDomains, domainsPerValue)
+  }
 
-      // Column clustering: connected components over the similar pairs.
-      val columns = cards.map(_._1).sorted(LakeGraph.Utf8Order)
-      val columnDomains = clusterColumns(columns, simPairs, config.minDomainCols)
-
-      // Value support per domain (total occurrences in the domain's columns),
-      // then dominant-meaning pruning.
-      val support = occ.join(columnDomains.toSeq.toDF("attribute", "domainId"), "attribute")
-        .groupBy("value", "domainId")
-        .agg(sum("occ").as("support"))
-        .select("value", "support")
-        .as[(String, Long)]
-        .collect()
-      val domainsPerValue = support.groupMap(_._1)(_._2).map { case (v, s) =>
-        val best = s.max
-        v -> s.count(_ >= config.dominance * best)
+  /** Column pairs `(a, b)`, `a` before `b` in `columns`, whose value sets
+    * have Jaccard similarity at least `tau`. A column's value set is its
+    * distinct values in `rows`; `columns` lists every column of `rows`.
+    */
+  private[d4] def similarPairs(
+      rows: Array[(String, String, Long)],
+      columns: Array[String],
+      tau: Double): Array[(String, String)] = {
+    val nc = columns.length
+    val index = columns.zipWithIndex.toMap
+    val card = new Array[Long](nc)
+    val columnsOf = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
+    rows.foreach { case (v, a, _) =>
+      val c = index(a)
+      card(c) += 1
+      columnsOf.getOrElseUpdate(v, new mutable.ArrayBuilder.ofInt) += c
+    }
+    // Overlap of columns a < b, keyed a * nc + b.
+    val overlap = mutable.LongMap.empty[Long]
+    columnsOf.valuesIterator.foreach { b =>
+      val cs = b.result()
+      java.util.Arrays.sort(cs)
+      var i = 0
+      while (i < cs.length) {
+        var j = i + 1
+        while (j < cs.length) {
+          val key = cs(i).toLong * nc + cs(j)
+          overlap(key) = overlap.getOrElse(key, 0L) + 1
+          j += 1
+        }
+        i += 1
       }
-      Result(columnDomains, domainsPerValue)
-    } finally occ.unpersist()
+    }
+    overlap.iterator.flatMap { case (key, o) =>
+      val a = (key / nc).toInt
+      val b = (key % nc).toInt
+      val jaccard = o.toDouble / (card(a) + card(b) - o).toDouble
+      if (jaccard >= tau) Some(columns(a) -> columns(b)) else None
+    }.toArray
+  }
+
+  /** Support of each value in each domain: its total occurrences in the
+    * domain's columns, keyed `(value, domainId)`. Columns without a domain
+    * contribute nothing.
+    */
+  private[d4] def supports(
+      rows: Array[(String, String, Long)],
+      columnDomains: Map[String, Long]): Map[(String, Long), Long] = {
+    val support = mutable.HashMap.empty[(String, Long), Long]
+    rows.foreach { case (v, a, occ) =>
+      columnDomains.get(a).foreach(d => support((v, d)) = support.getOrElse((v, d), 0L) + occ)
+    }
+    support.toMap
   }
 
   /** Connected components of the column-similarity graph, by union-find.

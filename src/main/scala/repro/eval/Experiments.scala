@@ -12,14 +12,6 @@ import repro.lake.DataLake
   */
 object Experiments {
 
-  /** Rank value strings by score (descending). Deterministic tie-break by id. */
-  def rankDescending(scores: Array[Double], names: Array[String]): Seq[String] =
-    names.indices.sortBy(i => (-scores(i), i)).map(names)
-
-  /** Rank value strings by score (ascending, for LCC). */
-  def rankAscending(scores: Array[Double], names: Array[String]): Seq[String] =
-    names.indices.sortBy(i => (scores(i), i)).map(names)
-
   // ------------------------------------------------------------------
   // SB: BC vs LCC vs D4 (paper §5.1, Figures 5-6 and the 69% / 38% claim)
   // ------------------------------------------------------------------
@@ -49,9 +41,9 @@ object Experiments {
     val names = graph.valueNames
 
     val bc = Betweenness.exact(spark, csr, normalized = true)
-    val bcRanking = rankDescending(bc.take(csr.numValues), names)
+    val bcRanking = DomainNet.rank(bc.take(csr.numValues), ascending = false).map(names).toSeq
     val lcc = Lcc.compute(spark, csr)
-    val lccRanking = rankAscending(lcc, names)
+    val lccRanking = DomainNet.rank(lcc, ascending = true).map(names).toSeq
 
     // tau/dominance chosen to mirror the original D4's reported coverage on
     // SB (domains on 14 of 39 columns; homographs often absorbed into the
@@ -104,7 +96,7 @@ object Experiments {
     val names = graph.valueNames
     val samples = math.max(500, (csr.numNodes * bcSampleFrac).toInt)
     val bc = Betweenness.approximate(spark, csr, samples, seed = seed + 5)
-    val top = rankDescending(bc.take(csr.numValues), names).take(count).toSet
+    val top = DomainNet.rank(bc.take(csr.numValues), ascending = false).take(count).map(names).toSet
     val found = inj.injected.count(top.contains)
     100.0 * found / inj.injected.size
   }
@@ -150,7 +142,7 @@ object Experiments {
     val names = graph.valueNames
     val samples = math.max(500, (csr.numNodes * bcSampleFrac).toInt)
     val bc = Betweenness.approximate(spark, csr, samples, seed = params.seed + 3, normalized = true)
-    val ranking = rankDescending(bc.take(csr.numValues), names)
+    val ranking = DomainNet.rank(bc.take(csr.numValues), ascending = false).map(names).toSeq
     val scoreOf = names.indices.map(i => names(i) -> bc(i)).toMap
     val top10 = ranking.take(10).map(v => v -> scoreOf(v))
     val (bestK, best) = Metrics.bestF1(ranking, truth)

@@ -27,11 +27,18 @@ object DataLake {
 
   /** Build a lake from named tables. Every column of every table becomes an
     * attribute named `"<table>.<column>"`; every cell is cast to string.
+    * Two (table, column) pairs with the same id, such as table `a.b` with
+    * column `c` and table `a` with column `b.c`, are rejected rather than
+    * merged into one attribute.
     * Null cells are kept here (graph construction filters them) so that
     * cell counts match the raw tables.
     */
   def fromTables(tables: Seq[(String, DataFrame)]): DataLake = {
     require(tables.nonEmpty, "a data lake needs at least one table")
+    val owners = for ((tname, df) <- tables; c <- df.columns) yield s"$tname.$c" -> s"(table '$tname', column '$c')"
+    owners.groupMap(_._1)(_._2).foreach { case (id, pairs) =>
+      require(pairs.size == 1, s"attribute id '$id' is shared by ${pairs.mkString(" and ")}")
+    }
     val cellDfs = tables.map { case (tname, df) =>
       val cols = df.columns
       require(cols.nonEmpty, s"table $tname has no columns")

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,9 +19,34 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Number of Spark stages submitted by jobs that `body` starts. Stages
+    * are matched through a local property set on this thread, so jobs of
+    * other threads do not count.
+    */
+  def stagesSubmitted(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val tag = java.util.UUID.randomUUID().toString
+    val count = new AtomicInteger
+    val listener = new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (e.properties != null && e.properties.getProperty(SparkSpec.StageTag) == tag) count.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    sc.setLocalProperty(SparkSpec.StageTag, tag)
+    try body
+    finally {
+      sc.setLocalProperty(SparkSpec.StageTag, null)
+      ListenerBusAccess.drain(sc)
+      sc.removeSparkListener(listener)
+    }
+    count.get
+  }
 }
 
 object SparkSpec {
+  private val StageTag = "repro.test.stageTag"
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -92,6 +92,19 @@ class BetweennessSpec extends SparkSpec {
     assert(a.sameElements(b))
   }
 
+  test("exact BC is bit-identical across runs on one CSR") {
+    val csr = randomCsr(numValues = 120, numAttrs = 15, seed = 23)
+    def bits(a: Array[Double]) = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+    assert(bits(exact(csr)) === bits(exact(csr)))
+  }
+
+  test("exact BC over many slices is within 1e-12 (relative) of a 1-slice computation") {
+    val csr = randomCsr(numValues = 120, numAttrs = 15, seed = 29)
+    val oneSlice = Betweenness.compute(spark, csr, Array.range(0, csr.numNodes), scale = 1.0, slices = 1)
+    val got = exact(csr)
+    assert(got.zip(oneSlice).forall { case (x, y) => math.abs(x - y) <= 1e-12 * math.max(1.0, math.abs(y)) })
+  }
+
   test("complete bipartite K(v,a): all value nodes symmetric, all attr nodes symmetric") {
     val csr = csrOf(4, Seq(0 until 4, 0 until 4, 0 until 4))
     val bc = exact(csr)

@@ -35,6 +35,13 @@ class DomainNetSpec extends SparkSpec {
     assert(res.topK(res.graph.numValues) === res.order.map(res.graph.valueNames(_)).toSeq)
   }
 
+  test("rank orders by score in either direction with stable ties") {
+    val names = Array("a", "b", "c", "d")
+    val scores = Array(1.0, 3.0, 1.0, 2.0)
+    assert(DomainNet.rank(scores, ascending = false).map(names).toSeq === Seq("b", "d", "a", "c"))
+    assert(DomainNet.rank(scores, ascending = true).map(names).toSeq === Seq("a", "c", "d", "b"))
+  }
+
   test("rank orders like a Spark orderBy on score with a valueId tie-break") {
     import spark.implicits._
     import org.apache.spark.sql.functions.col

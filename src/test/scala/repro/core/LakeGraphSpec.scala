@@ -20,6 +20,18 @@ class LakeGraphSpec extends SparkSpec {
     assert(cells.count(_._2 == "A B") === 2)
   }
 
+  test("trim strips only U+0020: values padded with a tab or NBSP stay distinct") {
+    import spark.implicits._
+    val lake = DataLake.ofColumns(spark, "T.a" -> Seq(" x ", "\tx", "x\u00A0", "\u00A0x", "x\n", "x"))
+    val values = LakeGraph.normalizedCells(lake).as[(String, String)].collect().map(_._2)
+    assert(values.toSeq.sorted === Seq("\tX", "X", "X", "X\n", "X\u00A0", "\u00A0X").sorted)
+  }
+
+  test("build runs 2 Spark stages") {
+    val lake = smallLake
+    assert(stagesSubmitted(LakeGraph.build(lake)) === 2)
+  }
+
   test("build drops values occurring once and deduplicates edges") {
     import spark.implicits._
     val g = LakeGraph.build(smallLake)

@@ -1,6 +1,9 @@
 package repro.d4
 
-import repro.SparkSpec
+import org.apache.spark.sql.functions._
+import repro.{Oracle, SparkSpec}
+import repro.core.LakeGraph
+import repro.data.SyntheticBenchmark
 import repro.lake.DataLake
 
 class D4Spec extends SparkSpec {
@@ -101,6 +104,89 @@ class D4Spec extends SparkSpec {
     assert(r.numDomains === 1)
     assert(spark.sparkContext.getPersistentRDDs.keySet === before)
   }
+
+  /** Duplicate cells, values occurring once, two domains (at tau 0.2) and
+    * one column with no similar peer (T4.m).
+    */
+  private def oracleLake = DataLake.ofColumns(spark,
+    "T1.a" -> Seq("CAT", "CAT", "DOG", "FOX", "OWL", "EMU"),
+    "T2.a" -> Seq("CAT", "DOG", "DOG", "FOX", "YAK"),
+    "T3.a" -> Seq("CAT", "DOG", "GNU", "GNU", "ELK", "ASP"),
+    "T4.m" -> Seq("UP", "HEAT", "CAT", "UP"),
+    "U1.c" -> Seq("ROME", "OSLO", "ROME", "LIMA"),
+    "U2.c" -> Seq("ROME", "OSLO", "LIMA", "BAKU", "CAT"),
+  )
+
+  /** The rows [[D4.run]] collects: distinct (value, attribute) pairs and their cell counts. */
+  private def occurrences(lake: DataLake): Array[(String, String, Long)] = {
+    import spark.implicits._
+    LakeGraph.normalizedCells(lake).groupBy("value", "attribute").agg(count(lit(1)).as("occ"))
+      .as[(String, String, Long)].collect()
+  }
+
+  test("similar column pairs agree with DuckDB") {
+    import spark.implicits._
+    val cells = LakeGraph.normalizedCells(oracleLake)
+    val rows = occurrences(oracleLake)
+    val columns = rows.map(_._2).distinct.sorted(LakeGraph.Utf8Order)
+    for (tau <- Seq(0.0, 0.2, 0.35, 0.5, 0.6)) {
+      val got = D4.similarPairs(rows, columns, tau).toSeq.toDF("a1", "a2")
+      Oracle.assertEquivalent(got,
+        s"""WITH e AS (SELECT DISTINCT value, attribute FROM cells),
+           |     card AS (SELECT attribute, count(*) AS card FROM e GROUP BY attribute),
+           |     ov AS (SELECT e1.attribute AS a1, e2.attribute AS a2, count(*) AS overlap
+           |            FROM e e1 JOIN e e2 ON e1.value = e2.value AND e1.attribute < e2.attribute
+           |            GROUP BY e1.attribute, e2.attribute)
+           |SELECT a1, a2 FROM ov
+           |JOIN card c1 ON c1.attribute = a1 JOIN card c2 ON c2.attribute = a2
+           |WHERE CAST(overlap AS DOUBLE) / CAST(c1.card + c2.card - overlap AS DOUBLE) >= $tau""".stripMargin,
+        "cells" -> cells)
+    }
+  }
+
+  test("per-(value, domain) supports agree with DuckDB") {
+    import spark.implicits._
+    val cells = LakeGraph.normalizedCells(oracleLake)
+    val rows = occurrences(oracleLake)
+    val columns = rows.map(_._2).distinct.sorted(LakeGraph.Utf8Order)
+    val domains = D4.clusterColumns(columns, D4.similarPairs(rows, columns, tau = 0.2), minDomainCols = 2)
+    assert(domains.values.toSet.size === 2 && !domains.contains("T4.m"))
+    val got = D4.supports(rows, domains).toSeq.map { case ((v, d), n) => (v, d, n) }.toDF("value", "domainId", "support")
+    Oracle.assertEquivalent(got,
+      """SELECT c.value, d.domainId, count(*) AS support
+        |FROM cells c JOIN domains d ON c.attribute = d.attribute
+        |GROUP BY c.value, d.domainId""".stripMargin,
+      "cells" -> cells, "domains" -> domains.toSeq.toDF("attribute", "domainId"))
+  }
+
+  test("an empty lake gives an empty result") {
+    assert(D4.run(spark, DataLake.ofColumns(spark)) === D4.Result(Map.empty, Map.empty))
+  }
+
+  test("run is one aggregation: 2 Spark stages") {
+    val lake = oracleLake
+    assert(stagesSubmitted(D4.run(spark, lake)) === 2)
+  }
+
+  // Recorded before D4's column overlaps, clustering and supports moved to
+  // the driver; any change here is a change in D4's output on SB.
+  private val sbGolden = Seq(
+    1L -> Seq("HOMCITYNAME_000", "HOMCITYNAME_001", "HOMCITYNAME_002", "HOMCITYNAME_003", "HOMCITYNAME_004",
+      "HOMCITYNAME_005", "HOMCITYNAME_006", "HOMCITYNAME_007", "HOMCOCAR_000", "HOMCOCAR_001", "HOMCOCAR_002",
+      "HOMCOUNTRYCITY_002"),
+    2L -> Seq("HOMCITYCAR_002", "HOMCITYNAME_000", "HOMCITYNAME_001", "HOMCITYNAME_002", "HOMCITYNAME_004",
+      "HOMCITYNAME_005", "HOMCITYNAME_007", "HOMCOCAR_000", "HOMCOCAR_001", "HOMCOCAR_002", "HOMCOUNTRYCITY_000",
+      "HOMCOUNTRYCITY_001", "HOMCOUNTRYCITY_002", "HOMCOUNTRYCITY_004"),
+    3L -> Seq("HOMCITYNAME_000", "HOMCITYNAME_001", "HOMCITYNAME_002", "HOMCITYNAME_003", "HOMCITYNAME_004",
+      "HOMCITYNAME_005", "HOMCITYNAME_006", "HOMCITYNAME_007", "HOMCOCAR_000", "HOMCOCAR_001", "HOMCOCAR_002"))
+
+  for ((seed, homographs) <- sbGolden)
+    test(s"SB seed $seed: 6 domains and the recorded homographs (tau 0.35, dominance 0.35)") {
+      val lake = SyntheticBenchmark.generate(spark, seed).lake
+      val r = D4.run(spark, lake, D4.Config(tau = 0.35, dominance = 0.35))
+      assert(r.numDomains === 6)
+      assert(r.homographs === homographs.toSet)
+    }
 
   test("column clusters are labelled by their smallest column index") {
     val columns = Array("a", "b", "c", "d", "e", "f")

@@ -7,13 +7,6 @@ import repro.lake.DataLake
 
 class ExperimentsSpec extends SparkSpec {
 
-  test("rankDescending and rankAscending order by score with stable ties") {
-    val names = Array("a", "b", "c", "d")
-    val scores = Array(1.0, 3.0, 1.0, 2.0)
-    assert(Experiments.rankDescending(scores, names) === Seq("b", "d", "a", "c"))
-    assert(Experiments.rankAscending(scores, names) === Seq("a", "c", "d", "b"))
-  }
-
   test("injectionRun finds planted homographs on a small TUS-I analogue") {
     val base = TusGen.Params(nDomains = 8, nColumns = 48, maxVocab = 400, seed = 5)
     val pct = Experiments.injectionRun(spark, base, count = 5, meanings = 2,

@@ -49,6 +49,16 @@ class DataLakeSpec extends SparkSpec {
     assert(lake.numTables === 2)
   }
 
+  test("fromTables rejects two (table, column) pairs with the same attribute id") {
+    import spark.implicits._
+    val ab = Seq("u").toDF("c")
+    val a = Seq("v").toDF("b.c")
+    val e = intercept[IllegalArgumentException](DataLake.fromTables(Seq("a.b" -> ab, "a" -> a)))
+    assert(e.getMessage.contains("attribute id 'a.b.c'"))
+    assert(e.getMessage.contains("(table 'a.b', column 'c')"))
+    assert(e.getMessage.contains("(table 'a', column 'b.c')"))
+  }
+
   test("ofColumns builds the expected cell bag") {
     val lake = DataLake.ofColumns(spark, "T.a" -> Seq("x", "y", "x"), "U.b" -> Seq("x"))
     assert(lake.cells.count() === 4)
