@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Betweenness, BipartiteGraph, LakeGraph}
+import repro.core.{Betweenness, LakeGraph}
 import repro.data.TusGen
 
 /** Paper §5.4 (Figures 8-9): graph construction is minutes-scale even for
@@ -21,8 +21,7 @@ class ScalabilityBench extends SparkSpec {
       val spec = TusGen.generate(ScalabilityBench.nycParams(seed = 1).copy(nColumns = nCols))
       val lake = spec.toLake(spark)
       val t0 = System.nanoTime()
-      val graph = LakeGraph.build(lake)
-      val csr = BipartiteGraph.toCsr(graph)
+      val csr = LakeGraph.build(lake).csr
       val buildS = (System.nanoTime() - t0) / 1e9
       val samples = math.max(100, csr.numNodes / 100)
       val t1 = System.nanoTime()

@@ -20,7 +20,7 @@ class Table1StatsBench extends SparkSpec {
 
     // --- SB ---
     val sb = SyntheticBenchmark.generate(spark, seed = 0)
-    val sbStats = Experiments.datasetStats(spark, "SB", sb.lake, sb.tables.size,
+    val sbStats = Experiments.datasetStats(spark, "SB", sb.lake,
       sb.homographs, sb.homographs.iterator.map(_ -> 2).toMap)
     println(f"SB      | ${sbStats.numTables}%3d (13)      | ${sbStats.numAttrs}%4d (39)    | ${sbStats.numValues}%7d (17,633) | ${sbStats.numHomographs}%4d (55)    | ${sbStats.cardMin}%4d-${sbStats.cardMax}%5d (151-1,966) | ${sbStats.meaningsMin}-${sbStats.meaningsMax} (2)")
     assert(sbStats.numTables === 13)
@@ -31,8 +31,7 @@ class Table1StatsBench extends SparkSpec {
     // --- TUS-I (no injections: zero homographs) ---
     val tusI = TusGen.tusI(seed = 0)
     val tusILake = tusI.toLake(spark)
-    val tusIStats = Experiments.datasetStats(spark, "TUS-I", tusILake, tusI.numTables,
-      Set.empty, Map.empty)
+    val tusIStats = Experiments.datasetStats(spark, "TUS-I", tusILake, Set.empty, Map.empty)
     println(f"TUS-I   | ${tusIStats.numTables}%3d (1,253)  | ${tusIStats.numAttrs}%4d (5,020) | ${tusIStats.numValues}%7d (163,860) | ${tusIStats.numHomographs}%4d (N/A)  | N/A               | N/A")
     assert(tusIStats.numHomographs === 0)
     assert(tusIStats.numAttrs === 600)
@@ -42,8 +41,7 @@ class Table1StatsBench extends SparkSpec {
     val tusLake = tus.toLake(spark)
     val meanings = tus.homographs.iterator.map(h => h -> tus.valueDomains(h).size).toMap
     val tusCards = tus.cardinalities(tus.homographs)
-    val tusStats = Experiments.datasetStats(spark, "TUS", tusLake, tus.numTables,
-      tus.homographs, meanings,
+    val tusStats = Experiments.datasetStats(spark, "TUS", tusLake, tus.homographs, meanings,
       cardRange = Some((tusCards.values.min.toLong, tusCards.values.max.toLong)))
     val homFrac = tusStats.numHomographs.toDouble / tusStats.numValues
     println(f"TUS     | ${tusStats.numTables}%3d (1,327)  | ${tusStats.numAttrs}%4d (9,859) | ${tusStats.numValues}%7d (190,399) | ${tusStats.numHomographs}%4d (26,035)| ${tusStats.cardMin}%4d-${tusStats.cardMax}%5d (3-22,703) | ${tusStats.meaningsMin}-${tusStats.meaningsMax} (2-100)")
@@ -57,8 +55,7 @@ class Table1StatsBench extends SparkSpec {
     // --- NYC-EDU analogue (no ground truth; counts only) ---
     val nyc = TusGen.generate(ScalabilityBench.nycParams(seed = 0))
     val nycLake = nyc.toLake(spark)
-    val nycStats = Experiments.datasetStats(spark, "NYC-EDU", nycLake, nyc.numTables,
-      Set.empty, Map.empty)
+    val nycStats = Experiments.datasetStats(spark, "NYC-EDU", nycLake, Set.empty, Map.empty)
     println(f"NYC-EDU | ${nycStats.numTables}%3d (201)    | ${nycStats.numAttrs}%4d (3,496) | ${nycStats.numValues}%7d (1,469,547) | N/A | N/A | N/A")
     assert(nycStats.numValues > 2 * tusStats.numValues,
       "NYC analogue should be much larger than the TUS analogue")

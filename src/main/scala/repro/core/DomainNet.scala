@@ -36,12 +36,12 @@ object DomainNet {
   /** Build the graph and score every value node with `measure`. */
   def run(spark: SparkSession, lake: DataLake, measure: Measure): Result = {
     val graph = LakeGraph.build(lake)
-    score(spark, graph, BipartiteGraph.toCsr(graph), measure)
+    score(spark, graph, graph.csr, measure)
   }
 
   /** Score a pre-built graph (lets callers reuse one graph for several
-    * measures, as the benches do). `csr` is the graph's adjacency,
-    * [[BipartiteGraph.toCsr]].
+    * measures, as the experiments do). `csr` is the graph's adjacency,
+    * [[LakeGraph.csr]].
     */
   def score(spark: SparkSession, graph: LakeGraph, csr: Csr, measure: Measure): Result = {
     val (rawScores, ascending) = measure match {

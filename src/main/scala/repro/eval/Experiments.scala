@@ -1,16 +1,19 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core._
+import repro.core.{DomainNet, LakeGraph}
 import repro.d4.D4
 import repro.data.{SyntheticBenchmark, TusGen}
 import repro.lake.DataLake
 
-/** Drivers for the paper's experiments, shared by `jobs/` (spark-submit
-  * entrypoints) and `bench/` (sbt benchmark suites). Each function returns
-  * plain data; callers format the table rows.
+/** Drivers for the paper's experiments, run by the `bench/` suites. Each
+  * function ranks through [[DomainNet]] and returns plain data; callers
+  * format the table rows.
   */
 object Experiments {
+
+  /** BFS sources for sampled BC: 1% of the nodes, at least 500. */
+  private def bcSources(graph: LakeGraph): Int = math.max(500, graph.numNodes / 100)
 
   // ------------------------------------------------------------------
   // SB: BC vs LCC vs D4 (paper §5.1, Figures 5-6 and the 69% / 38% claim)
@@ -26,8 +29,6 @@ object Experiments {
       d4NumDomains: Int,
       d4CoveredColumns: Long,
       d4Flagged: Int,
-      bcTop: Seq[String],
-      lccTop: Seq[String],
       missedByBc: Set[String],
       missedCodeHomographs: Int)
 
@@ -37,13 +38,8 @@ object Experiments {
     val k = truth.size
 
     val graph = LakeGraph.build(sb.lake)
-    val csr = BipartiteGraph.toCsr(graph)
-    val names = graph.valueNames
-
-    val bc = Betweenness.exact(spark, csr, normalized = true)
-    val bcRanking = DomainNet.rank(bc.take(csr.numValues), ascending = false).map(names).toSeq
-    val lcc = Lcc.compute(spark, csr)
-    val lccRanking = DomainNet.rank(lcc, ascending = true).map(names).toSeq
+    val bcTop = DomainNet.score(spark, graph, graph.csr, DomainNet.ExactBC).topK(k)
+    val lccTop = DomainNet.score(spark, graph, graph.csr, DomainNet.LCC).topK(k)
 
     // tau/dominance chosen to mirror the original D4's reported coverage on
     // SB (domains on 14 of 39 columns; homographs often absorbed into the
@@ -56,21 +52,19 @@ object Experiments {
     val d4R = d4Hits.toDouble / k
     val d4F = if (d4P + d4R == 0) 0.0 else 2 * d4P * d4R / (d4P + d4R)
 
-    val bcTopK = bcRanking.take(k)
+    val missed = truth.diff(bcTop.toSet)
     SbResult(
       numValues = graph.numValues,
       numAttrs = graph.numAttrs,
       numEdges = graph.numEdges,
-      bcPrf = Metrics.atK(bcRanking, truth, k),
-      lccPrf = Metrics.atK(lccRanking, truth, k),
+      bcPrf = Metrics.atK(bcTop, truth, k),
+      lccPrf = Metrics.atK(lccTop, truth, k),
       d4Prf = Metrics.Prf(d4P, d4R, d4F),
       d4NumDomains = d4.numDomains,
       d4CoveredColumns = d4.coveredColumns,
       d4Flagged = d4.homographs.size,
-      bcTop = bcTopK,
-      lccTop = lccRanking.take(k),
-      missedByBc = truth.diff(bcTopK.toSet),
-      missedCodeHomographs = truth.diff(bcTopK.toSet).count(sb.smallDomainHomographs.contains))
+      missedByBc = missed,
+      missedCodeHomographs = missed.count(sb.smallDomainHomographs.contains))
   }
 
   // ------------------------------------------------------------------
@@ -86,17 +80,12 @@ object Experiments {
       count: Int,
       meanings: Int,
       minAttrCardinality: Int,
-      seed: Long,
-      bcSampleFrac: Double = 0.015): Double = {
+      seed: Long): Double = {
     val spec = TusGen.tusI(seed, base)
     val inj = TusGen.inject(spec, count, meanings, minAttrCardinality, seed = seed * 1031 + 17)
-    val lake = inj.spec.toLake(spark)
-    val graph = LakeGraph.build(lake)
-    val csr = BipartiteGraph.toCsr(graph)
-    val names = graph.valueNames
-    val samples = math.max(500, (csr.numNodes * bcSampleFrac).toInt)
-    val bc = Betweenness.approximate(spark, csr, samples, seed = seed + 5)
-    val top = DomainNet.rank(bc.take(csr.numValues), ascending = false).take(count).map(names).toSet
+    val graph = LakeGraph.build(inj.spec.toLake(spark))
+    val bc = DomainNet.score(spark, graph, graph.csr, DomainNet.ApproxBC(bcSources(graph), seed = seed + 5))
+    val top = bc.topK(count).toSet
     val found = inj.injected.count(top.contains)
     100.0 * found / inj.injected.size
   }
@@ -108,10 +97,8 @@ object Experiments {
       count: Int,
       meanings: Int,
       minAttrCardinality: Int,
-      seeds: Seq[Long],
-      bcSampleFrac: Double = 0.01): Double = {
-    val runs = seeds.map(s =>
-      injectionRun(spark, base, count, meanings, minAttrCardinality, s, bcSampleFrac))
+      seeds: Seq[Long]): Double = {
+    val runs = seeds.map(s => injectionRun(spark, base, count, meanings, minAttrCardinality, s))
     runs.sum / runs.size
   }
 
@@ -130,21 +117,13 @@ object Experiments {
       top10: Seq[(String, Double)],
       top10AllHomographs: Boolean)
 
-  def runTusTopK(
-      spark: SparkSession,
-      params: TusGen.Params,
-      bcSampleFrac: Double = 0.01): TusTopKResult = {
+  def runTusTopK(spark: SparkSession, params: TusGen.Params): TusTopKResult = {
     val spec = TusGen.generate(params)
     val truth = spec.homographs
-    val lake = spec.toLake(spark)
-    val graph = LakeGraph.build(lake)
-    val csr = BipartiteGraph.toCsr(graph)
-    val names = graph.valueNames
-    val samples = math.max(500, (csr.numNodes * bcSampleFrac).toInt)
-    val bc = Betweenness.approximate(spark, csr, samples, seed = params.seed + 3, normalized = true)
-    val ranking = DomainNet.rank(bc.take(csr.numValues), ascending = false).map(names).toSeq
-    val scoreOf = names.indices.map(i => names(i) -> bc(i)).toMap
-    val top10 = ranking.take(10).map(v => v -> scoreOf(v))
+    val graph = LakeGraph.build(spec.toLake(spark))
+    val bc = DomainNet.score(spark, graph, graph.csr, DomainNet.ApproxBC(bcSources(graph), seed = params.seed + 3))
+    val ranking = bc.topK(graph.numValues)
+    val top10 = bc.order.take(10).toSeq.map(i => graph.valueNames(i) -> bc.score(i))
     val (bestK, best) = Metrics.bestF1(ranking, truth)
     TusTopKResult(
       numValues = graph.numValues,
@@ -183,7 +162,6 @@ object Experiments {
       spark: SparkSession,
       name: String,
       lake: DataLake,
-      numTables: Int,
       homographs: Set[String],
       meanings: Map[String, Int],
       cardRange: Option[(Long, Long)] = None): DatasetStats = {
@@ -209,7 +187,7 @@ object Experiments {
     edges.unpersist()
     val (mMin, mMax) =
       if (meanings.isEmpty) (0, 0) else (meanings.values.min, meanings.values.max)
-    DatasetStats(name, numTables, numAttrs, numValues, homographs.size,
+    DatasetStats(name, lake.numTables, numAttrs, numValues, homographs.size,
       cardMin, cardMax, mMin, mMax)
   }
 }
