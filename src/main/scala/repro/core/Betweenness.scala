@@ -10,6 +10,29 @@ import org.apache.spark.sql.SparkSession
   * final halving is applied. The optional normalization divides by
   * `(n-1)(n-2)`, the number of ordered pairs excluding the node itself.
   *
+  * Sources (exact). Brandes needs one BFS per node; most are redundant:
+  *   - all values of one [[ValueClasses]] class are swapped by a graph
+  *     automorphism, and none lies on a shortest path from another, so
+  *     their dependencies sum to `|C| · δ_rep`: one BFS from the class's
+  *     representative, weighted by the class size, stands for the class;
+  *   - a value with one attribute `a` (a leaf) sees `a`'s BFS shifted by
+  *     one level, so `δ_leaf = δ_a`, plus `reached(a) − 2` at `a` itself
+  *     (every target in `a`'s component but `a` and the leaf). Leaves are
+  *     folded into their attribute's BFS, weighted `1 + leaves(a)`;
+  *   - values with no attribute reach nothing and need no BFS.
+  * So exact BC runs one BFS per attribute and one per class with ≥2
+  * attributes.
+  *
+  * Kernel. The graph is bipartite, so no edge joins two nodes of one BFS
+  * level. The forward pass is direction-optimizing (Beamer, Asanović &
+  * Patterson, SC 2012): a level expands top-down from the frontier, or,
+  * when the frontier's adjacency exceeds that of the unvisited nodes on
+  * the next side, bottom-up: every unvisited node sums the path counts of
+  * its frontier neighbours. The dependency pass pulls: in reverse BFS
+  * order `δ(w) = σ(w) · Σ_{x∈N(w)} c(x)` with `c(x) = (1 + δ(x)) / σ(x)`,
+  * where `c` is still 0 on the level above `w`, so no distance test is
+  * needed.
+  *
   * Distribution strategy (per the reproduction's distributed-dataflow
   * design): the graph topology is broadcast as a [[Csr]]; BFS sources are
   * distributed over Spark partitions; each task accumulates a dense
@@ -26,10 +49,12 @@ import org.apache.spark.sql.SparkSession
   */
 object Betweenness {
 
-  /** Exact BC for every node. O(n·m) work split across the cluster. */
+  /** Exact BC for every node, from one BFS per value class and per
+    * attribute, split across the cluster.
+    */
   def exact(spark: SparkSession, csr: Csr, normalized: Boolean = false): Array[Double] = {
-    val n = csr.numNodes
-    val scores = compute(spark, csr, (0 until n).toArray, scale = 1.0, defaultSlices(spark, n))
+    val (sources, weights) = exactSources(csr)
+    val scores = compute(spark, csr, sources, weights, scale = 1.0, defaultSlices(spark, sources.length))
     if (normalized) normalize(scores) else scores
   }
 
@@ -45,52 +70,81 @@ object Betweenness {
     val n = csr.numNodes
     require(numSamples > 0, "numSamples must be positive")
     if (numSamples >= n) return exact(spark, csr, normalized)
-    val rnd = new scala.util.Random(seed)
-    val sources = sampleWithoutReplacement(n, numSamples, rnd)
-    val scores = compute(spark, csr, sources, scale = n.toDouble / numSamples, defaultSlices(spark, numSamples))
+    val sources = sampledSources(n, numSamples, seed)
+    val weights = Array.fill(numSamples)(1)
+    val scores = compute(spark, csr, sources, weights, scale = n.toDouble / numSamples, defaultSlices(spark, numSamples))
     if (normalized) normalize(scores) else scores
+  }
+
+  /** Exact BC's BFS sources and their weights: the representative of every
+    * class with ≥2 attributes (weight: class size), then every attribute
+    * (weight: 1 + its number of degree-1 values).
+    */
+  private[core] def exactSources(csr: Csr): (Array[Int], Array[Int]) = {
+    val classes = ValueClasses.of(csr)
+    val nv = csr.numValues
+    val weights = Array.fill(csr.numNodes)(1)
+    val multi = scala.collection.mutable.ArrayBuilder.make[Int]
+    var c = 0
+    while (c < classes.numClasses) {
+      val attrs = classes.attrs(c)
+      if (attrs.length >= 2) {
+        multi += classes.representative(c)
+        weights(classes.representative(c)) = classes.size(c)
+      } else if (attrs.length == 1) weights(attrs(0)) += classes.size(c)
+      c += 1
+    }
+    val sources = multi.result() ++ Array.range(nv, csr.numNodes)
+    (sources, sources.map(weights))
+  }
+
+  /** `numSamples` of `n` node ids, drawn without replacement from `seed`. */
+  private[core] def sampledSources(n: Int, numSamples: Int, seed: Long): Array[Int] = {
+    // Partial Fisher–Yates over an index array.
+    val rnd = new scala.util.Random(seed)
+    val idx = Array.range(0, n)
+    var i = 0
+    while (i < numSamples) {
+      val j = i + rnd.nextInt(n - i)
+      val t = idx(i); idx(i) = idx(j); idx(j) = t
+      i += 1
+    }
+    java.util.Arrays.copyOf(idx, numSamples)
   }
 
   private def defaultSlices(spark: SparkSession, numSources: Int): Int =
     math.max(1, math.min(numSources, spark.sparkContext.defaultParallelism * 4))
 
-  private def normalize(scores: Array[Double]): Array[Double] = {
+  private[core] def normalize(scores: Array[Double]): Array[Double] = {
     val n = scores.length
     val denom = (n - 1).toDouble * (n - 2).toDouble
     if (denom <= 0) scores else scores.map(_ / denom)
   }
 
-  private def sampleWithoutReplacement(n: Int, k: Int, rnd: scala.util.Random): Array[Int] = {
-    // Partial Fisher–Yates over an index array.
-    val idx = Array.range(0, n)
-    var i = 0
-    while (i < k) {
-      val j = i + rnd.nextInt(n - i)
-      val t = idx(i); idx(i) = idx(j); idx(j) = t
-      i += 1
-    }
-    java.util.Arrays.copyOf(idx, k)
-  }
-
   /** Brandes from every source in `sources`, split into `slices` Spark
-    * partitions, each dependency scaled by `scale`.
+    * partitions. Source `sources(i)` stands for `weights(i)` sources: its
+    * dependencies count `weights(i)` times, and an attribute source also
+    * adds its folded leaves' dependencies on itself (`weights(i) − 1`
+    * leaves). The sum is scaled by `scale`.
     */
   private[core] def compute(
       spark: SparkSession,
       csr: Csr,
       sources: Array[Int],
+      weights: Array[Int],
       scale: Double,
       slices: Int): Array[Double] = {
+    require(sources.length == weights.length, "one weight per source")
     val n = csr.numNodes
     val sc = spark.sparkContext
     val bc = sc.broadcast(csr)
     val partial = sc
-      .parallelize(sources.toIndexedSeq, slices)
+      .parallelize(sources.toIndexedSeq.zip(weights), slices)
       .mapPartitions { srcIt =>
         val g = bc.value
         val acc = new Array[Double](g.numNodes)
-        val state = new BrandesState(g.numNodes)
-        srcIt.foreach(s => brandesFrom(g, s, state, acc))
+        val state = new BrandesState(g)
+        srcIt.foreach { case (s, w) => brandesFrom(g, s, w, state, acc) }
         Iterator.single(acc)
       }
       .collect()
@@ -109,64 +163,134 @@ object Betweenness {
     summed
   }
 
-  /** Reusable per-task scratch space for Brandes' algorithm. */
-  private final class BrandesState(n: Int) {
-    val dist = new Array[Int](n)
-    val sigma = new Array[Double](n)
-    val delta = new Array[Double](n)
-    val order = new Array[Int](n) // nodes in BFS visitation order
-    java.util.Arrays.fill(dist, -1)
+  /** Reusable per-task scratch space for Brandes' algorithm. `dist` is
+    * -1 and `sigma`, `coeff` and `front` are 0 on every node between
+    * sources.
+    */
+  private final class BrandesState(g: Csr) {
+    val dist = Array.fill(g.numNodes)(-1)
+    val sigma = new Array[Double](g.numNodes)
+    val coeff = new Array[Double](g.numNodes) // (1 + δ) / σ of finished nodes
+    val front = new Array[Double](g.numNodes) // σ of the frontier, during a bottom-up step
+    val order = new Array[Int](g.numNodes) // nodes in BFS visitation order
+    // unvisited nodes of each side, built on a BFS's first bottom-up step there
+    val unvisitedValues = new Array[Int](g.numValues)
+    val unvisitedAttrs = new Array[Int](g.numAttrs)
   }
 
   /** Single-source shortest-path counting + dependency accumulation.
-    * Adds the per-source dependencies δ_s(v) into `acc` for all v ≠ s.
-    * `state.dist` must be -1-filled on entry and is restored on exit.
+    * Adds `weight` times the dependencies δ_s(v) into `acc` for all v ≠ s
+    * and, if `s` is an attribute, `(weight − 1) · (reached − 2)` at `s`.
     */
-  private def brandesFrom(g: Csr, s: Int, state: BrandesState, acc: Array[Double]): Unit = {
+  private def brandesFrom(g: Csr, s: Int, weight: Int, state: BrandesState, acc: Array[Double]): Unit = {
     import state._
-    var head = 0
-    var tail = 0
-    order(tail) = s; tail += 1
+    val offsets = g.offsets
+    val nbrs = g.neighbors
+    val nv = g.numValues
+    order(0) = s
+    var tail = 1
     dist(s) = 0
     sigma(s) = 1.0
-    while (head < tail) {
-      val v = order(head); head += 1
-      val dv = dist(v)
-      val sv = sigma(v)
-      var i = g.offsets(v)
-      val end = g.offsets(v + 1)
-      while (i < end) {
-        val w = g.neighbors(i)
-        if (dist(w) < 0) {
-          dist(w) = dv + 1
-          order(tail) = w; tail += 1
+    // Adjacency of the nodes not yet reached, per side; a level is expanded
+    // from whichever of its frontier and the next side's unvisited nodes
+    // has fewer edges to scan.
+    var valueEdgesLeft = g.numEdges.toLong
+    var attrEdgesLeft = g.numEdges.toLong
+    var frontierEdges = (offsets(s + 1) - offsets(s)).toLong
+    if (s < nv) valueEdgesLeft -= frontierEdges else attrEdgesLeft -= frontierEdges
+    var numUnvisitedValues = -1 // -1: list not built yet
+    var numUnvisitedAttrs = -1
+    var levelStart = 0
+    var levelEnd = 1
+    var d = 0
+    while (levelStart < levelEnd) {
+      val nextIsValue = order(levelStart) >= nv
+      var nextEdges = 0L
+      if (frontierEdges <= (if (nextIsValue) valueEdgesLeft else attrEdgesLeft)) {
+        var k = levelStart
+        while (k < levelEnd) {
+          val v = order(k)
+          val sv = sigma(v)
+          var i = offsets(v)
+          val end = offsets(v + 1)
+          while (i < end) {
+            val w = nbrs(i)
+            if (dist(w) < 0) {
+              dist(w) = d + 1
+              order(tail) = w; tail += 1
+              nextEdges += offsets(w + 1) - offsets(w)
+            }
+            if (dist(w) == d + 1) sigma(w) += sv
+            i += 1
+          }
+          k += 1
         }
-        if (dist(w) == dv + 1) sigma(w) += sv
-        i += 1
+      } else {
+        var k = levelStart
+        while (k < levelEnd) { front(order(k)) = sigma(order(k)); k += 1 }
+        val unvisited = if (nextIsValue) unvisitedValues else unvisitedAttrs
+        var len = if (nextIsValue) numUnvisitedValues else numUnvisitedAttrs
+        if (len < 0) {
+          len = 0
+          var u = if (nextIsValue) 0 else nv
+          val end = if (nextIsValue) nv else g.numNodes
+          while (u < end) {
+            if (dist(u) < 0) { unvisited(len) = u; len += 1 }
+            u += 1
+          }
+        }
+        // keep the still-unvisited nodes in place, drop the rest
+        var kept = 0
+        var j = 0
+        while (j < len) {
+          val u = unvisited(j)
+          if (dist(u) < 0) {
+            var paths = 0.0
+            var i = offsets(u)
+            val end = offsets(u + 1)
+            while (i < end) { paths += front(nbrs(i)); i += 1 }
+            if (paths > 0) {
+              dist(u) = d + 1
+              sigma(u) = paths
+              order(tail) = u; tail += 1
+              nextEdges += end - offsets(u)
+            } else {
+              unvisited(kept) = u; kept += 1
+            }
+          }
+          j += 1
+        }
+        if (nextIsValue) numUnvisitedValues = kept else numUnvisitedAttrs = kept
+        k = levelStart
+        while (k < levelEnd) { front(order(k)) = 0.0; k += 1 }
       }
+      if (nextIsValue) valueEdgesLeft -= nextEdges else attrEdgesLeft -= nextEdges
+      frontierEdges = nextEdges
+      levelStart = levelEnd
+      levelEnd = tail
+      d += 1
     }
-    // Backward accumulation in reverse BFS order; predecessors are
-    // re-derived from distances to avoid storing predecessor lists.
+    // Dependencies in reverse BFS order. A neighbour one level down has
+    // finished and holds its coefficient; one level up still holds 0.
+    val wt = weight.toDouble
     var k = tail - 1
     while (k > 0) { // order(0) == s needs no accumulation into itself
       val w = order(k)
-      val coeff = (1.0 + delta(w)) / sigma(w)
-      val dw = dist(w)
-      var i = g.offsets(w)
-      val end = g.offsets(w + 1)
-      while (i < end) {
-        val v = g.neighbors(i)
-        if (dist(v) == dw - 1) delta(v) += sigma(v) * coeff
-        i += 1
-      }
-      acc(w) += delta(w)
+      var sum = 0.0
+      var i = offsets(w)
+      val end = offsets(w + 1)
+      while (i < end) { sum += coeff(nbrs(i)); i += 1 }
+      val delta = sigma(w) * sum
+      acc(w) += wt * delta
+      coeff(w) = (1.0 + delta) / sigma(w)
       k -= 1
     }
+    if (s >= nv && weight > 1) acc(s) += (wt - 1.0) * (tail - 2)
     // Reset touched state for the next source.
     k = 0
     while (k < tail) {
       val v = order(k)
-      dist(v) = -1; sigma(v) = 0.0; delta(v) = 0.0
+      dist(v) = -1; sigma(v) = 0.0; coeff(v) = 0.0
       k += 1
     }
   }

@@ -66,8 +66,8 @@ object Csr {
 object BipartiteGraph {
 
   /** The graph's adjacency. [[LakeGraph.build]] builds it on the driver,
-    * where the centrality kernels broadcast it and parallelise over BFS
-    * sources with Spark.
+    * where [[Betweenness]] broadcasts it and parallelises over BFS sources
+    * with Spark, and [[Lcc]] reads it directly.
     */
   def toCsr(g: LakeGraph): Csr = g.csr
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import scala.collection.immutable.ArraySeq
 
 /** Bipartite local clustering coefficient (paper §3.3, Eq. (1)).
   *
@@ -24,95 +23,82 @@ import scala.collection.immutable.ArraySeq
   * the attribute-set variant, which reproduces the paper's numbers; see
   * DESIGN.md.
   *
-  * Exact computation factors values into equivalence classes by their
+  * Exact computation factors values into [[ValueClasses]] by their
   * attribute set: every member of class A has the same LCC
   *
   *   `LCC(A) = Σ_B (|B| − [A==B]) · J(A,B) / (Σ_B |B| − 1)`
   *
   * where B ranges over classes sharing ≥1 attribute with A and J is the
-  * attribute-set Jaccard. Classes are scored in parallel with Spark.
+  * attribute-set Jaccard. The graph is already on the driver, so LCC runs
+  * there: for each class a dense counter collects the attribute
+  * intersections with its co-classes through an attribute → classes index.
   */
 object Lcc {
 
-  /** Exact LCC for every value node; result indexed by valueId. */
+  /** Exact LCC for every value node; result indexed by valueId. Runs on the
+    * driver; `spark` is not used.
+    */
   def compute(spark: SparkSession, csr: Csr): Array[Double] = {
     val nv = csr.numValues
     if (nv == 0) return Array.emptyDoubleArray
+    val classes = ValueClasses.of(csr)
+    val nc = classes.numClasses
 
-    // --- Classes: values grouped by exact attribute set. ---
-    val classOf = new Array[Int](nv)
-    val classKeys = new scala.collection.mutable.HashMap[ArraySeq[Int], Int]()
-    val sizeB = scala.collection.mutable.ArrayBuffer.empty[Int]
-    var v = 0
-    while (v < nv) {
-      val key = ArraySeq.unsafeWrapArray(csr.neighborsOf(v))
-      val cid = classKeys.getOrElseUpdate(key, { sizeB += 0; sizeB.size - 1 })
-      classOf(v) = cid
-      sizeB(cid) += 1
-      v += 1
-    }
-    val numClasses = sizeB.size
-    val classAttrs: Array[Array[Int]] =
-      classKeys.toArray.sortBy(_._2).map(_._1.toArray) // sorted (CSR lists are sorted)
-    val classSize: Array[Int] = sizeB.toArray
-
-    // --- attr -> classes containing it ---
-    val attrClasses = Array.fill(csr.numAttrs)(scala.collection.mutable.ArrayBuffer.empty[Int])
+    // attribute -> classes containing it, in CSR form, class ids ascending
+    val na = csr.numAttrs
+    val attrStart = new Array[Int](na + 1)
     var c = 0
-    while (c < numClasses) {
-      classAttrs(c).foreach(a => attrClasses(a - nv) += c)
+    while (c < nc) { classes.attrs(c).foreach(a => attrStart(a - nv + 1) += 1); c += 1 }
+    var a = 0
+    while (a < na) { attrStart(a + 1) += attrStart(a); a += 1 }
+    val attrClasses = new Array[Int](attrStart(na))
+    val fill = java.util.Arrays.copyOf(attrStart, na)
+    c = 0
+    while (c < nc) {
+      classes.attrs(c).foreach { att => attrClasses(fill(att - nv)) = c; fill(att - nv) += 1 }
       c += 1
     }
 
-    // --- co-classes of A: classes sharing >=1 attribute with A (incl. A) ---
-    val coClasses: Array[Array[Int]] = Array.tabulate(numClasses) { a =>
-      val s = scala.collection.mutable.SortedSet.empty[Int]
-      classAttrs(a).foreach(att => s ++= attrClasses(att - nv))
-      s.toArray
-    }
-
-    // --- per-class LCC via Spark over classes ---
-    val sc = spark.sparkContext
-    val bAttrs = sc.broadcast(classAttrs)
-    val bCo = sc.broadcast(coClasses)
-    val bSize = sc.broadcast(classSize)
-    val slices = math.max(1, math.min(numClasses, sc.defaultParallelism * 4))
-    val classLcc: Map[Int, Double] = sc
-      .parallelize(0 until numClasses, slices)
-      .map { a =>
-        val attrsL = bAttrs.value; val coL = bCo.value; val sizeL = bSize.value
-        val aAttrs = attrsL(a)
-        var denom = -1L // exclude u itself from its value-neighbour count
-        coL(a).foreach(b => denom += sizeL(b))
-        if (denom <= 0) (a, 0.0)
-        else {
-          var num = 0.0
-          coL(a).foreach { b =>
-            val inter = sortedIntersectionSize(aAttrs, attrsL(b))
-            val union = aAttrs.length + attrsL(b).length - inter
-            val weight = sizeL(b) - (if (b == a) 1 else 0)
-            if (weight > 0 && union > 0) num += weight.toDouble * inter / union
-          }
-          (a, num / denom)
+    // per class: attribute intersections with every co-class (incl. itself)
+    val inter = new Array[Int](nc)
+    val touched = new Array[Int](nc)
+    val classLcc = new Array[Double](nc)
+    c = 0
+    while (c < nc) {
+      val cAttrs = classes.attrs(c)
+      var numTouched = 0
+      cAttrs.foreach { att =>
+        var i = attrStart(att - nv)
+        val end = attrStart(att - nv + 1)
+        while (i < end) {
+          val b = attrClasses(i)
+          if (inter(b) == 0) { touched(numTouched) = b; numTouched += 1 }
+          inter(b) += 1
+          i += 1
         }
       }
-      .collect()
-      .toMap
-    bAttrs.destroy(); bCo.destroy(); bSize.destroy()
-
-    Array.tabulate(nv)(u => classLcc(classOf(u)))
-  }
-
-  /** Size of the intersection of two sorted int arrays. */
-  private[core] def sortedIntersectionSize(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0; var cnt = 0
-    while (i < a.length && j < b.length) {
-      val x = a(i); val y = b(j)
-      if (x == y) { cnt += 1; i += 1; j += 1 }
-      else if (x < y) i += 1
-      else j += 1
+      java.util.Arrays.sort(touched, 0, numTouched)
+      var denom = -1L // exclude u itself from its value-neighbour count
+      var k = 0
+      while (k < numTouched) { denom += classes.size(touched(k)); k += 1 }
+      if (denom > 0) {
+        var num = 0.0
+        k = 0
+        while (k < numTouched) {
+          val b = touched(k)
+          val union = cAttrs.length + classes.attrs(b).length - inter(b)
+          val weight = classes.size(b) - (if (b == c) 1 else 0)
+          if (weight > 0 && union > 0) num += weight.toDouble * inter(b) / union
+          k += 1
+        }
+        classLcc(c) = num / denom
+      }
+      k = 0
+      while (k < numTouched) { inter(touched(k)) = 0; k += 1 }
+      c += 1
     }
-    cnt
+
+    Array.tabulate(nv)(u => classLcc(classes.classOf(u)))
   }
 
   /** Direct-from-definition reference implementation (tests only). */

@@ -64,11 +64,16 @@ object DataLake {
     DataLake(cells.select(col("attribute"), col("value").cast("string")), numTables)
   }
 
-  /** Convenience for tests: build a lake from in-memory columns. */
+  /** Convenience for tests: build a lake from in-memory columns, each named
+    * by a `"<table>.<column>"` id with exactly one `.`.
+    */
   def ofColumns(spark: SparkSession, columns: (String, Seq[String])*): DataLake = {
     import spark.implicits._
+    columns.foreach { case (id, _) =>
+      require(id.count(_ == '.') == 1, s"attribute id '$id' must be '<table>.<column>' with exactly one '.'")
+    }
     val cells = columns.flatMap { case (attr, vals) => vals.map(v => (attr, v)) }
-    val numTables = columns.map(_._1.split("\\.")(0)).distinct.size
+    val numTables = columns.map(_._1.takeWhile(_ != '.')).distinct.size
     DataLake(cells.toDF("attribute", "value"), numTables)
   }
 }

@@ -39,12 +39,25 @@ class BetweennessSpec extends SparkSpec {
     assert(exact(csr).forall(_ === 0.0))
   }
 
-  for (seed <- 1 to 12)
-    test(s"exact BC matches the independent path-counting reference (random graph, seed=$seed)") {
-      val csr = randomCsr(numValues = 4 + seed, numAttrs = 2 + seed % 5, seed = seed)
+  // Exact BC runs one BFS per class and folds leaves into their attribute,
+  // so the inputs cover duplicate attribute sets, leaves, attributes of
+  // leaves only, isolated values and several components.
+  private val referenceInputs: Seq[(String, Csr)] =
+    (1 to 12).map(seed => s"random graph, seed=$seed" -> randomCsr(numValues = 4 + seed, numAttrs = 2 + seed % 5, seed = seed)) ++
+      (1 to 3).map(seed => s"duplicate attribute sets, seed=$seed" -> pooledCsr(30, 6, numSets = 4, leafFrac = 0.0, isolated = 0, seed)) ++
+      (1 to 3).map(seed => s"degree-1 values on several attributes, seed=$seed" -> pooledCsr(30, 6, numSets = 6, leafFrac = 0.4, isolated = 0, seed)) ++
+      Seq(
+        "an attribute holding only leaves" -> csrOf(8, Seq(Seq(0, 1, 2), Seq(3, 4, 5), Seq(4, 5, 6, 7), Seq(7))),
+        "isolated values" -> pooledCsr(25, 5, numSets = 3, leafFrac = 0.3, isolated = 4, seed = 4),
+        "two components" -> disjointUnion(pooledCsr(20, 4, 3, 0.3, 0, seed = 5), pooledCsr(15, 4, 2, 0.3, 0, seed = 6)),
+        "three components, one a star of leaves" ->
+          disjointUnion(disjointUnion(pooledCsr(20, 5, 4, 0.5, 2, seed = 7), csrOf(4, Seq(0 until 4))), randomCsr(9, 3, seed = 8)))
+
+  for ((name, csr) <- referenceInputs)
+    test(s"exact BC matches the independent path-counting reference ($name)") {
       val got = exact(csr)
       val ref = bcReference(csr)
-      assert(maxAbsDiff(got, ref) < 1e-8, s"seed=$seed")
+      assert(maxAbsDiff(got, ref) <= 1e-12 * math.max(1.0, ref.max), name)
     }
 
   for (k <- 2 to 7)
@@ -100,7 +113,8 @@ class BetweennessSpec extends SparkSpec {
 
   test("exact BC over many slices is within 1e-12 (relative) of a 1-slice computation") {
     val csr = randomCsr(numValues = 120, numAttrs = 15, seed = 29)
-    val oneSlice = Betweenness.compute(spark, csr, Array.range(0, csr.numNodes), scale = 1.0, slices = 1)
+    val (sources, weights) = Betweenness.exactSources(csr)
+    val oneSlice = Betweenness.compute(spark, csr, sources, weights, scale = 1.0, slices = 1)
     val got = exact(csr)
     assert(got.zip(oneSlice).forall { case (x, y) => math.abs(x - y) <= 1e-12 * math.max(1.0, math.abs(y)) })
   }
@@ -111,5 +125,27 @@ class BetweennessSpec extends SparkSpec {
     assert((1 until 4).forall(v => math.abs(bc(v) - bc(0)) < 1e-9))
     assert((5 until 7).forall(a => math.abs(bc(a) - bc(4)) < 1e-9))
     assert(maxAbsDiff(bc, bcReference(csr)) < 1e-9)
+  }
+
+  test("rounded BC rankings are identical at 1, 4 and 16 slices and across runs") {
+    val csr = disjointUnion(pooledCsr(400, 30, numSets = 40, leafFrac = 0.3, isolated = 5, seed = 31), randomCsr(40, 6, seed = 32))
+    val n = csr.numNodes
+    // as DomainNet.score ranks: normalized, rounded to 1e-9, value nodes only
+    def ranking(sources: Array[Int], weights: Array[Int], scale: Double, slices: Int): Seq[Int] = {
+      val bc = Betweenness.normalize(Betweenness.compute(spark, csr, sources, weights, scale, slices))
+      DomainNet.rank(Array.tabulate(csr.numValues)(i => math.rint(bc(i) * 1e9) / 1e9), ascending = false).toSeq
+    }
+    val (exactSrc, exactW) = Betweenness.exactSources(csr)
+    val sampled = Betweenness.sampledSources(n, 50, seed = 7)
+    val cases = Seq(
+      "ExactBC" -> ((s: Int) => ranking(exactSrc, exactW, 1.0, s)),
+      "ApproxBC" -> ((s: Int) => ranking(sampled, Array.fill(50)(1), n / 50.0, s)))
+    for ((name, rankAt) <- cases) {
+      val runs = for (slices <- Seq(1, 4, 16); _ <- 1 to 2) yield rankAt(slices)
+      assert(runs.distinct.size === 1, name)
+    }
+    val viaExact = Betweenness.exact(spark, csr, normalized = true)
+    assert(DomainNet.rank(Array.tabulate(csr.numValues)(i => math.rint(viaExact(i) * 1e9) / 1e9), ascending = false).toSeq ===
+      ranking(exactSrc, exactW, 1.0, 1))
   }
 }

@@ -63,6 +63,33 @@ object GraphFixtures {
     csrOf(numValues, attrs)
   }
 
+  /** Deterministic random bipartite graph with structurally equivalent
+    * values: each value takes one of `numSets` random attribute sets (of
+    * ≥2 attributes), or with probability `leafFrac` a single random
+    * attribute; the last `isolated` values have no attribute.
+    */
+  def pooledCsr(numValues: Int, numAttrs: Int, numSets: Int, leafFrac: Double, isolated: Int, seed: Long): Csr = {
+    val rnd = new scala.util.Random(seed)
+    val sets = IndexedSeq.fill(numSets) {
+      rnd.shuffle((0 until numAttrs).toList).take(2 + rnd.nextInt(math.max(1, numAttrs - 1)))
+    }
+    val attrsOf = Seq.tabulate(numValues - isolated) { _ =>
+      if (rnd.nextDouble() < leafFrac) List(rnd.nextInt(numAttrs)) else sets(rnd.nextInt(numSets))
+    }
+    csrOf(numValues, Seq.tabulate(numAttrs)(a => attrsOf.indices.filter(v => attrsOf(v).contains(a))))
+  }
+
+  /** The disjoint union of two graphs: `b`'s values and attributes follow
+    * `a`'s.
+    */
+  def disjointUnion(a: Csr, b: Csr): Csr = {
+    val nv = a.numValues + b.numValues
+    def edges(g: Csr, valueBase: Int, attrBase: Int) =
+      (0 until g.numValues).iterator.flatMap(v => g.neighborsOf(v).iterator.map(x => (valueBase + v, attrBase + x - g.numValues)))
+    Csr.fromEdges(a.numNodes + b.numNodes, nv,
+      edges(a, 0, nv) ++ edges(b, a.numValues, nv + a.numAttrs))
+  }
+
   def maxAbsDiff(a: Array[Double], b: Array[Double]): Double =
     a.zip(b).map { case (x, y) => math.abs(x - y) }.max
 }

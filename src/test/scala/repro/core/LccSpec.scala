@@ -56,11 +56,4 @@ class LccSpec extends SparkSpec {
     assert(lcc(2) === lcc(3)) // both only in attr 0
     assert(lcc(4) === lcc(5)) // both only in attr 1
   }
-
-  test("sortedIntersectionSize counts correctly") {
-    assert(Lcc.sortedIntersectionSize(Array(1, 3, 5), Array(2, 3, 5, 9)) === 2)
-    assert(Lcc.sortedIntersectionSize(Array.emptyIntArray, Array(1)) === 0)
-    assert(Lcc.sortedIntersectionSize(Array(1, 2), Array(1, 2)) === 2)
-    assert(Lcc.sortedIntersectionSize(Array(1, 2), Array(3, 4)) === 0)
-  }
 }

@@ -66,6 +66,12 @@ class DataLakeSpec extends SparkSpec {
     assert(lake.numAttributes === 2)
   }
 
+  test("ofColumns rejects an id without exactly one '.'") {
+    for (id <- Seq("Ta", "a.b.c", "T.a."))
+      intercept[IllegalArgumentException](DataLake.ofColumns(spark, "T.a" -> Seq("x"), id -> Seq("x")))
+    assert(DataLake.ofColumns(spark, "T.a" -> Seq("x"), "T.b" -> Seq("x")).numTables === 1)
+  }
+
   test("fromCells validates the schema") {
     import spark.implicits._
     val ok = Seq(("A.c", "v")).toDF("attribute", "value")
