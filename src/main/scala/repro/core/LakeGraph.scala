@@ -16,7 +16,6 @@ import repro.lake.DataLake
   * @param csr        the symmetric adjacency over both parts
   */
 final class LakeGraph private[core] (
-    spark: SparkSession,
     val valueNames: Array[String],
     val attrNames: Array[String],
     val csr: Csr) {
@@ -29,23 +28,22 @@ final class LakeGraph private[core] (
 
   def numEdges: Int = csr.numEdges
 
-  /** DataFrame `(value: String, valueId: Long)`, one row per value node.
-    * A local relation over [[valueNames]]: reading it runs no Spark job.
+  /** DataFrame `(value: String, valueId: Long)`, one row per value node,
+    * in the active SparkSession. A local relation over [[valueNames]]:
+    * reading it runs no Spark job.
     */
   lazy val values: DataFrame = {
+    val spark = SparkSession.active
     import spark.implicits._
     valueNames.iterator.zipWithIndex.map { case (v, i) => (v, i.toLong) }.toSeq.toDF("value", "valueId")
   }
 
   /** DataFrame `(attribute: String, attrId: Long)`, one row per attribute node. */
   lazy val attrs: DataFrame = {
+    val spark = SparkSession.active
     import spark.implicits._
     attrNames.iterator.zipWithIndex.map { case (a, i) => (a, (numValues + i).toLong) }.toSeq.toDF("attribute", "attrId")
   }
-
-  /** Values appearing in at least two attributes — the homograph candidates. */
-  def candidateValues: Seq[String] =
-    (0 until numValues).filter(csr.degree(_) >= 2).map(valueNames(_))
 }
 
 object LakeGraph {
@@ -101,41 +99,49 @@ object LakeGraph {
       s"$numEdges edges exceed the Int adjacency space (2 entries per edge)")
   }
 
-  /** Build the bipartite graph.
+  /** Build the bipartite graph: [[of]] over the lake's [[CellCounts]].
+    *
+    * One Spark aggregation counts every distinct (value, attribute) pair of
+    * the normalized cells, and the counts are collected; pruning, ids and
+    * the [[Csr]] are made on the driver. The driver therefore holds
+    * O(distinct (value, attribute) pairs), singletons included, as
+    * `repro.d4.D4` does; `spark.driver.maxResultSize` bounds the collect.
+    */
+  def build(lake: DataLake, minOccurrences: Int = 2): LakeGraph = of(CellCounts.of(lake), minOccurrences)
+
+  /** The bipartite graph over a lake's cell counts.
     *
     * Preprocessing per the paper (§5): values that occur exactly once in
     * the whole lake are dropped — they cannot be homographs and only slow
     * down centrality computation. Values occurring multiple times (even in
     * a single attribute) are kept.
     *
-    * One Spark aggregation groups the normalized cells by value, counting
-    * cells and collecting the value's attribute set; the kept rows are
-    * collected, and ids and the [[Csr]] are built on the driver. The driver
-    * therefore holds O(values + edges) strings; `spark.driver.maxResultSize`
-    * bounds the collect.
+    * Kept values and the attributes they occur in keep their relative
+    * order, so ids stay in Spark's string order. Runs on the driver.
     *
     * @param minOccurrences minimum number of *cells* a value must occupy to
     *                       be kept (paper uses 2)
     */
-  def build(lake: DataLake, minOccurrences: Int = 2): LakeGraph = {
-    val spark = lake.cells.sparkSession
-    import spark.implicits._
-    val rows = normalizedCells(lake)
-      .groupBy("value")
-      .agg(count(lit(1)).as("occ"), collect_set("attribute").as("attrs"))
-      .filter(col("occ") >= minOccurrences)
-      .select("value", "attrs")
-      .as[(String, Array[String])]
-      .collect()
-      .sortBy(_._1)(Utf8Order)
-
-    val valueNames = rows.map(_._1)
-    val attrNames = rows.iterator.flatMap(_._2).toArray.distinct.sorted(Utf8Order)
+  def of(counts: CellCounts, minOccurrences: Int): LakeGraph = {
+    val total = new Array[Long](counts.numValues)
+    var i = 0
+    while (i < counts.numPairs) { total(counts.valueIds(i)) += counts.occurrences(i); i += 1 }
+    val valueId = compactIds(total.map(_ >= minOccurrences))
+    val edges = Array.range(0, counts.numPairs).filter(i => valueId(counts.valueIds(i)) >= 0)
+    val attrUsed = new Array[Boolean](counts.numAttrs)
+    edges.foreach(i => attrUsed(counts.attrIds(i)) = true)
+    val attrId = compactIds(attrUsed)
+    val valueNames = counts.valueNames.indices.collect { case v if valueId(v) >= 0 => counts.valueNames(v) }.toArray
+    val attrNames = counts.attrNames.indices.collect { case a if attrId(a) >= 0 => counts.attrNames(a) }.toArray
     val nv = valueNames.length
-    requireIntIds(nv.toLong, attrNames.length.toLong, rows.iterator.map(_._2.length.toLong).sum)
+    requireIntIds(nv.toLong, attrNames.length.toLong, edges.length.toLong)
+    new LakeGraph(valueNames, attrNames, Csr.fromEdges(nv + attrNames.length, nv,
+      edges.iterator.map(i => (valueId(counts.valueIds(i)), nv + attrId(counts.attrIds(i))))))
+  }
 
-    val attrId = attrNames.iterator.zipWithIndex.map { case (a, i) => a -> (nv + i) }.toMap
-    val edges = rows.iterator.zipWithIndex.flatMap { case ((_, as), v) => as.iterator.map(a => (v, attrId(a))) }
-    new LakeGraph(spark, valueNames, attrNames, Csr.fromEdges(nv + attrNames.length, nv, edges))
+  /** New ids for the kept entries, in their old order; -1 for the others. */
+  private def compactIds(kept: Array[Boolean]): Array[Int] = {
+    var next = 0
+    kept.map(k => if (k) { next += 1; next - 1 } else -1)
   }
 }

@@ -39,9 +39,49 @@ object Lcc {
     * driver; `spark` is not used.
     */
   def compute(spark: SparkSession, csr: Csr): Array[Double] = {
-    val nv = csr.numValues
-    if (nv == 0) return Array.emptyDoubleArray
     val classes = ValueClasses.of(csr)
+    val classLcc = new Array[Double](classes.numClasses)
+    foreachClass(csr, classes) { (c, denom, touched, numTouched, inter) =>
+      if (denom > 0) {
+        val cAttrs = classes.attrs(c)
+        var num = 0.0
+        var k = 0
+        while (k < numTouched) {
+          val b = touched(k)
+          val union = cAttrs.length + classes.attrs(b).length - inter(b)
+          val weight = classes.size(b) - (if (b == c) 1 else 0)
+          if (weight > 0 && union > 0) num += weight.toDouble * inter(b) / union
+          k += 1
+        }
+        classLcc(c) = num / denom
+      }
+    }
+    Array.tabulate(csr.numValues)(u => classLcc(classes.classOf(u)))
+  }
+
+  /** |VN(v)| for every value node, indexed by valueId: the number of other
+    * values sharing at least one attribute with it (the paper's Card(H),
+    * footnote 3); 0 for a value alone in its attributes. This is LCC's
+    * denominator.
+    */
+  def valueNeighbourCounts(csr: Csr): Array[Int] = {
+    val classes = ValueClasses.of(csr)
+    val count = new Array[Int](classes.numClasses)
+    foreachClass(csr, classes)((c, vn, _, _, _) => count(c) = vn)
+    Array.tabulate(csr.numValues)(u => count(classes.classOf(u)))
+  }
+
+  /** Calls `f(c, vn, touched, numTouched, inter)` for every class `c`, in
+    * id order: `touched(0 until numTouched)` are the classes sharing at
+    * least one attribute with `c` (itself included), ascending, `inter(b)`
+    * is the number of attributes class `b` shares with `c`, and `vn` is
+    * |VN| of each member of `c` (the co-classes' sizes, less the member
+    * itself). The walk goes through an attribute → classes index in CSR
+    * form.
+    */
+  private def foreachClass(csr: Csr, classes: ValueClasses)(
+      f: (Int, Int, Array[Int], Int, Array[Int]) => Unit): Unit = {
+    val nv = csr.numValues
     val nc = classes.numClasses
 
     // attribute -> classes containing it, in CSR form, class ids ascending
@@ -62,12 +102,10 @@ object Lcc {
     // per class: attribute intersections with every co-class (incl. itself)
     val inter = new Array[Int](nc)
     val touched = new Array[Int](nc)
-    val classLcc = new Array[Double](nc)
     c = 0
     while (c < nc) {
-      val cAttrs = classes.attrs(c)
       var numTouched = 0
-      cAttrs.foreach { att =>
+      classes.attrs(c).foreach { att =>
         var i = attrStart(att - nv)
         val end = attrStart(att - nv + 1)
         while (i < end) {
@@ -78,27 +116,14 @@ object Lcc {
         }
       }
       java.util.Arrays.sort(touched, 0, numTouched)
-      var denom = -1L // exclude u itself from its value-neighbour count
+      var vn = -1 // exclude the member itself
       var k = 0
-      while (k < numTouched) { denom += classes.size(touched(k)); k += 1 }
-      if (denom > 0) {
-        var num = 0.0
-        k = 0
-        while (k < numTouched) {
-          val b = touched(k)
-          val union = cAttrs.length + classes.attrs(b).length - inter(b)
-          val weight = classes.size(b) - (if (b == c) 1 else 0)
-          if (weight > 0 && union > 0) num += weight.toDouble * inter(b) / union
-          k += 1
-        }
-        classLcc(c) = num / denom
-      }
+      while (k < numTouched) { vn += classes.size(touched(k)); k += 1 }
+      f(c, math.max(0, vn), touched, numTouched, inter)
       k = 0
       while (k < numTouched) { inter(touched(k)) = 0; k += 1 }
       c += 1
     }
-
-    Array.tabulate(nv)(u => classLcc(classes.classOf(u)))
   }
 
   /** Direct-from-definition reference implementation (tests only). */

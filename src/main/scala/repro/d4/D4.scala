@@ -2,8 +2,7 @@ package repro.d4
 
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
-import repro.core.LakeGraph
+import repro.core.CellCounts
 import repro.lake.DataLake
 
 /** Baseline: unsupervised domain discovery in the spirit of D4 (Ota,
@@ -27,14 +26,15 @@ import repro.lake.DataLake
   *      homographs are missed (the paper: "D4 at times placing homographs
   *      into a domain represented by their most popular meaning").
   *
-  * Pipeline: one Spark aggregation counts the occurrences of every
-  * distinct (value, attribute) pair of the normalized cells and is
-  * collected; column cardinalities and overlaps, the Jaccard threshold,
-  * column clustering (union-find over at most a few thousand columns),
-  * per-domain supports and dominant-meaning pruning run on the driver.
-  * The driver therefore holds O(distinct (value, attribute) pairs)
-  * strings; unlike [[LakeGraph.build]] this count includes values that
-  * occur only once. `spark.driver.maxResultSize` bounds the collect.
+  * Pipeline: the lake's [[CellCounts]] (one Spark aggregation counting
+  * every distinct (value, attribute) pair of the normalized cells, then a
+  * collect) feed the driver part, [[discover]]: column cardinalities and
+  * overlaps, the Jaccard threshold, column clustering (union-find over at
+  * most a few thousand columns), per-domain supports and dominant-meaning
+  * pruning, all over the counts' ids. The driver therefore holds
+  * O(distinct (value, attribute) pairs), singletons included, as
+  * `repro.core.LakeGraph.build` does; `spark.driver.maxResultSize` bounds
+  * the collect.
   */
 object D4 {
 
@@ -72,56 +72,40 @@ object D4 {
       if (domainsPerValue.isEmpty) 0.0 else domainsPerValue.values.sum.toDouble / domainsPerValue.size
   }
 
-  def run(spark: SparkSession, lake: DataLake, config: Config = Config()): Result = {
-    import spark.implicits._
-    val rows = LakeGraph.normalizedCells(lake)
-      .groupBy("value", "attribute").agg(count(lit(1)).as("occ"))
-      .as[(String, String, Long)]
-      .collect()
-    discover(rows, config)
-  }
+  def run(spark: SparkSession, lake: DataLake, config: Config = Config()): Result =
+    discover(CellCounts.of(lake), config)
 
-  /** The driver part of [[run]], over its collected distinct
-    * `(value, attribute, occurrences)` rows.
-    */
-  private[d4] def discover(rows: Array[(String, String, Long)], config: Config): Result = {
-    val columns = rows.iterator.map(_._2).toArray.distinct.sorted(LakeGraph.Utf8Order)
-    val columnDomains = clusterColumns(columns, similarPairs(rows, columns, config.tau), config.minDomainCols)
+  /** The driver part of [[run]], over the lake's cell counts. */
+  def discover(counts: CellCounts, config: Config = Config()): Result = {
+    val columnDomain = clusterColumns(counts.numAttrs, similarPairs(counts, config.tau), config.minDomainCols)
     // Dominant-meaning pruning of each value's domains.
-    val domainsPerValue = supports(rows, columnDomains).groupMap(_._1._1)(_._2).map { case (v, s) =>
+    val domainsPerValue = supports(counts, columnDomain).groupMap(_._1)(_._3).map { case (v, s) =>
       val best = s.max
-      v -> s.count(_ >= config.dominance * best)
+      counts.valueNames(v) -> s.count(_ >= config.dominance * best)
     }
+    val columnDomains = columnDomain.indices.collect {
+      case c if columnDomain(c) >= 0 => counts.attrNames(c) -> columnDomain(c).toLong
+    }.toMap
     Result(columnDomains, domainsPerValue)
   }
 
-  /** Column pairs `(a, b)`, `a` before `b` in `columns`, whose value sets
-    * have Jaccard similarity at least `tau`. A column's value set is its
-    * distinct values in `rows`; `columns` lists every column of `rows`.
+  /** Column pairs `(a, b)`, by attribute id with `a < b`, whose value sets
+    * have Jaccard similarity at least `tau`. A column's value set is the
+    * values it has a pair with in `counts`.
     */
-  private[d4] def similarPairs(
-      rows: Array[(String, String, Long)],
-      columns: Array[String],
-      tau: Double): Array[(String, String)] = {
-    val nc = columns.length
-    val index = columns.zipWithIndex.toMap
+  private[d4] def similarPairs(counts: CellCounts, tau: Double): Array[(Int, Int)] = {
+    val nc = counts.numAttrs
     val card = new Array[Long](nc)
-    val columnsOf = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
-    rows.foreach { case (v, a, _) =>
-      val c = index(a)
-      card(c) += 1
-      columnsOf.getOrElseUpdate(v, new mutable.ArrayBuilder.ofInt) += c
-    }
-    // Overlap of columns a < b, keyed a * nc + b.
+    counts.attrIds.foreach(a => card(a) += 1)
+    // Overlap of columns a < b, keyed a * nc + b. A value's attribute ids
+    // are ascending.
     val overlap = mutable.LongMap.empty[Long]
-    columnsOf.valuesIterator.foreach { b =>
-      val cs = b.result()
-      java.util.Arrays.sort(cs)
-      var i = 0
-      while (i < cs.length) {
+    counts.foreachValue { (_, from, until) =>
+      var i = from
+      while (i < until) {
         var j = i + 1
-        while (j < cs.length) {
-          val key = cs(i).toLong * nc + cs(j)
+        while (j < until) {
+          val key = counts.attrIds(i).toLong * nc + counts.attrIds(j)
           overlap(key) = overlap.getOrElse(key, 0L) + 1
           j += 1
         }
@@ -132,35 +116,32 @@ object D4 {
       val a = (key / nc).toInt
       val b = (key % nc).toInt
       val jaccard = o.toDouble / (card(a) + card(b) - o).toDouble
-      if (jaccard >= tau) Some(columns(a) -> columns(b)) else None
+      if (jaccard >= tau) Some(a -> b) else None
     }.toArray
   }
 
   /** Support of each value in each domain: its total occurrences in the
-    * domain's columns, keyed `(value, domainId)`. Columns without a domain
+    * domain's columns, as `(valueId, domainId, support)`. `columnDomain`
+    * holds every column's domain id, or -1; columns without a domain
     * contribute nothing.
     */
-  private[d4] def supports(
-      rows: Array[(String, String, Long)],
-      columnDomains: Map[String, Long]): Map[(String, Long), Long] = {
-    val support = mutable.HashMap.empty[(String, Long), Long]
-    rows.foreach { case (v, a, occ) =>
-      columnDomains.get(a).foreach(d => support((v, d)) = support.getOrElse((v, d), 0L) + occ)
+  private[d4] def supports(counts: CellCounts, columnDomain: Array[Int]): Array[(Int, Int, Long)] = {
+    val out = Array.newBuilder[(Int, Int, Long)]
+    counts.foreachValue { (v, from, until) =>
+      (from until until).filter(i => columnDomain(counts.attrIds(i)) >= 0)
+        .groupMapReduce(i => columnDomain(counts.attrIds(i)))(counts.occurrences(_))(_ + _)
+        .foreach { case (d, support) => out += ((v, d, support)) }
     }
-    support.toMap
+    out.result()
   }
 
-  /** Connected components of the column-similarity graph, by union-find.
-    * Returns the domain id of every column in a component of at least
-    * `minDomainCols` columns; a component is labelled by its smallest
-    * column index in `columns`.
+  /** Connected components of the column-similarity graph over columns
+    * `[0, numColumns)`, by union-find. Returns every column's domain id:
+    * the smallest column of its component if the component has at least
+    * `minDomainCols` columns, -1 otherwise.
     */
-  private[d4] def clusterColumns(
-      columns: Array[String],
-      similar: Array[(String, String)],
-      minDomainCols: Int): Map[String, Long] = {
-    val index = columns.zipWithIndex.toMap
-    val parent = Array.range(0, columns.length)
+  private[d4] def clusterColumns(numColumns: Int, similar: Array[(Int, Int)], minDomainCols: Int): Array[Int] = {
+    val parent = Array.range(0, numColumns)
     def find(x: Int): Int = {
       var r = x
       while (parent(r) != r) { parent(r) = parent(parent(r)); r = parent(r) }
@@ -169,11 +150,12 @@ object D4 {
     // Linking the larger root under the smaller keeps every root the
     // smallest index of its component.
     similar.foreach { case (a, b) =>
-      val ra = find(index(a)); val rb = find(index(b))
+      val ra = find(a); val rb = find(b)
       if (ra < rb) parent(rb) = ra else if (rb < ra) parent(ra) = rb
     }
-    val root = columns.indices.map(find)
-    val size = root.groupMapReduce(identity)(_ => 1)(_ + _)
-    columns.indices.collect { case i if size(root(i)) >= minDomainCols => columns(i) -> root(i).toLong }.toMap
+    val root = Array.tabulate(numColumns)(find)
+    val size = new Array[Int](numColumns)
+    root.foreach(r => size(r) += 1)
+    root.map(r => if (size(r) >= minDomainCols) r else -1)
   }
 }

@@ -104,31 +104,6 @@ object TusGen {
     /** Columns with cardinality >= the threshold. */
     def eligibleColumns(minCardinality: Int): Vector[ColumnSpec] =
       columns.filter(_.cardinality >= minCardinality)
-
-    /** Exact |N(v)| (number of distinct co-occurring values, the paper's
-      * footnote-3 cardinality) for each of the given values, computed
-      * driver-side with per-column bitsets — the Spark self-join version
-      * of this is quadratic in column cardinality and needlessly heavy for
-      * a min/max statistic.
-      */
-    def cardinalities(of: Set[String]): Map[String, Int] = {
-      val id = scala.collection.mutable.HashMap.empty[String, Int]
-      columns.foreach(_.values.foreach(v => id.getOrElseUpdate(v, id.size)))
-      val colBits = columns.map { c =>
-        val b = new java.util.BitSet(id.size)
-        c.values.foreach(v => b.set(id(v)))
-        b
-      }
-      val colsOf = scala.collection.mutable.HashMap.empty[String, List[Int]].withDefaultValue(Nil)
-      columns.zipWithIndex.foreach { case (c, i) =>
-        c.values.foreach(v => if (of.contains(v)) colsOf(v) = i :: colsOf(v))
-      }
-      of.iterator.map { v =>
-        val acc = new java.util.BitSet(id.size)
-        colsOf(v).foreach(i => acc.or(colBits(i)))
-        v -> math.max(0, acc.cardinality() - 1)
-      }.toMap
-    }
   }
 
   /** Generate a lake spec. Deterministic in `params.seed`. */

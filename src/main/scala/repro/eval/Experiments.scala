@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{DomainNet, LakeGraph}
+import repro.core.{CellCounts, DomainNet, LakeGraph, Lcc}
 import repro.d4.D4
 import repro.data.{SyntheticBenchmark, TusGen}
 import repro.lake.DataLake
@@ -37,14 +37,15 @@ object Experiments {
     val truth = sb.homographs
     val k = truth.size
 
-    val graph = LakeGraph.build(sb.lake)
+    val counts = CellCounts.of(sb.lake)
+    val graph = LakeGraph.of(counts, minOccurrences = 2)
     val bcTop = DomainNet.score(spark, graph, graph.csr, DomainNet.ExactBC).topK(k)
     val lccTop = DomainNet.score(spark, graph, graph.csr, DomainNet.LCC).topK(k)
 
     // tau/dominance chosen to mirror the original D4's reported coverage on
     // SB (domains on 14 of 39 columns; homographs often absorbed into the
     // dominant meaning) — see DESIGN.md substitution 5.
-    val d4 = D4.run(spark, sb.lake, D4.Config(tau = 0.35, dominance = 0.35))
+    val d4 = D4.discover(counts, D4.Config(tau = 0.35, dominance = 0.35))
     // D4 flags a set (not a ranking); following the paper we score its
     // flagged set against the k=|truth| operating point.
     val d4Hits = d4.homographs.count(truth.contains)
@@ -152,42 +153,33 @@ object Experiments {
       meaningsMin: Int,
       meaningsMax: Int)
 
-  /** Statistics of a generated lake; cardinality range Card(H) = |N(v)| is
-    * computed for the homographs only (as in the paper's footnote 3).
-    * Pass `cardRange` to supply a precomputed range (e.g. from
-    * `TusGen.LakeSpec.cardinalities`) instead of the Spark self-join,
-    * which is quadratic in column cardinality.
+  /** Statistics of a lake, from its [[CellCounts]]: one Spark
+    * aggregation. The cardinality range Card(H) = |N(v)| is taken over the
+    * homographs only (as in the paper's footnote 3), on the graph that
+    * keeps every value (`minOccurrences = 1`); an isolated homograph
+    * counts 0. Every homograph must be a normalized value of the lake.
     */
   def datasetStats(
-      spark: SparkSession,
       name: String,
       lake: DataLake,
       homographs: Set[String],
-      meanings: Map[String, Int],
-      cardRange: Option[(Long, Long)] = None): DatasetStats = {
-    import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val cells = LakeGraph.normalizedCells(lake)
-    val edges = cells.distinct().cache()
-    val numAttrs = edges.select("attribute").distinct().count()
-    val numValues = edges.select("value").distinct().count()
+      meanings: Map[String, Int]): DatasetStats = {
+    val counts = CellCounts.of(lake)
     val (cardMin, cardMax) =
       if (homographs.isEmpty) (0L, 0L)
-      else if (cardRange.isDefined) cardRange.get
       else {
-        val homDf = homographs.toSeq.toDF("value")
-        val homAttrs = edges.join(homDf, "value").toDF("hom", "attribute")
-        val co = homAttrs.join(edges, "attribute")
-          .filter(col("hom") =!= col("value"))
-          .groupBy("hom")
-          .agg(countDistinct("value").as("card"))
-        val row = co.agg(min("card"), max("card")).collect()(0)
-        (row.getLong(0), row.getLong(1))
+        val graph = LakeGraph.of(counts, minOccurrences = 1)
+        val card = Lcc.valueNeighbourCounts(graph.csr)
+        val cards = homographs.toSeq.map { h =>
+          val v = java.util.Arrays.binarySearch(graph.valueNames, h, LakeGraph.Utf8Order)
+          require(v >= 0, s"homograph $h is not a normalized value of $name")
+          card(v).toLong
+        }
+        (cards.min, cards.max)
       }
-    edges.unpersist()
     val (mMin, mMax) =
       if (meanings.isEmpty) (0, 0) else (meanings.values.min, meanings.values.max)
-    DatasetStats(name, lake.numTables, numAttrs, numValues, homographs.size,
+    DatasetStats(name, lake.numTables, counts.numAttrs, counts.numValues, homographs.size,
       cardMin, cardMax, mMin, mMax)
   }
 }

@@ -17,11 +17,7 @@ import org.apache.spark.sql.functions._
   * Cells are NOT deduplicated here; multiplicity is needed by the paper's
   * preprocessing rule (drop values occurring exactly once in the lake).
   */
-final case class DataLake(cells: DataFrame, numTables: Int) {
-
-  /** Number of distinct attributes (columns) in the lake. */
-  def numAttributes: Long = cells.select("attribute").distinct().count()
-}
+final case class DataLake(cells: DataFrame, numTables: Int)
 
 object DataLake {
 

@@ -115,13 +115,13 @@ class LakeGraphSpec extends SparkSpec {
       "cells" -> cells)
   }
 
-  test("candidateValues are exactly the values in >=2 attributes") {
-    import spark.implicits._
+  test("value nodes of CSR degree >= 2 are exactly the values in >=2 attributes") {
     val lake = DataLake.ofColumns(spark,
       "T.a" -> Seq("x", "y", "y"),
       "T.b" -> Seq("x", "z", "z"))
     val g = LakeGraph.build(lake)
-    assert(g.candidateValues.toSet === Set("X")) // y and z repeat but only within one column
+    // y and z repeat but only within one column
+    assert((0 until g.numValues).filter(g.csr.degree(_) >= 2).map(g.valueNames(_)) === Seq("X"))
   }
 
   test("pruning with minOccurrences=1 keeps every distinct value") {
@@ -146,7 +146,13 @@ class LakeGraphSpec extends SparkSpec {
 
   test("CSR value degrees and attribute cardinalities agree with DuckDB") {
     import spark.implicits._
-    val lake = smallLake
+    // smallLake's columns plus one that holds only singletons, so pruning
+    // at minOccurrences = 2 drops an attribute as well
+    val lake = DataLake.ofColumns(spark,
+      "T1.a" -> Seq("x", "y", "z", "x"),
+      "T1.b" -> Seq(" y ", "w"),
+      "T2.c" -> Seq("X", "q"),
+      "T3.d" -> Seq("u", "v"))
     for (minOcc <- Seq(1, 2)) {
       val g = LakeGraph.build(lake, minOccurrences = minOcc)
       val names = g.valueNames ++ g.attrNames

@@ -1,8 +1,7 @@
 package repro.d4
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.LakeGraph
+import repro.core.{CellCounts, LakeGraph}
 import repro.data.SyntheticBenchmark
 import repro.lake.DataLake
 
@@ -117,20 +116,13 @@ class D4Spec extends SparkSpec {
     "U2.c" -> Seq("ROME", "OSLO", "LIMA", "BAKU", "CAT"),
   )
 
-  /** The rows [[D4.run]] collects: distinct (value, attribute) pairs and their cell counts. */
-  private def occurrences(lake: DataLake): Array[(String, String, Long)] = {
-    import spark.implicits._
-    LakeGraph.normalizedCells(lake).groupBy("value", "attribute").agg(count(lit(1)).as("occ"))
-      .as[(String, String, Long)].collect()
-  }
-
   test("similar column pairs agree with DuckDB") {
     import spark.implicits._
     val cells = LakeGraph.normalizedCells(oracleLake)
-    val rows = occurrences(oracleLake)
-    val columns = rows.map(_._2).distinct.sorted(LakeGraph.Utf8Order)
+    val counts = CellCounts.of(oracleLake)
     for (tau <- Seq(0.0, 0.2, 0.35, 0.5, 0.6)) {
-      val got = D4.similarPairs(rows, columns, tau).toSeq.toDF("a1", "a2")
+      val got = D4.similarPairs(counts, tau).toSeq
+        .map { case (a, b) => (counts.attrNames(a), counts.attrNames(b)) }.toDF("a1", "a2")
       Oracle.assertEquivalent(got,
         s"""WITH e AS (SELECT DISTINCT value, attribute FROM cells),
            |     card AS (SELECT attribute, count(*) AS card FROM e GROUP BY attribute),
@@ -147,16 +139,17 @@ class D4Spec extends SparkSpec {
   test("per-(value, domain) supports agree with DuckDB") {
     import spark.implicits._
     val cells = LakeGraph.normalizedCells(oracleLake)
-    val rows = occurrences(oracleLake)
-    val columns = rows.map(_._2).distinct.sorted(LakeGraph.Utf8Order)
-    val domains = D4.clusterColumns(columns, D4.similarPairs(rows, columns, tau = 0.2), minDomainCols = 2)
-    assert(domains.values.toSet.size === 2 && !domains.contains("T4.m"))
-    val got = D4.supports(rows, domains).toSeq.map { case ((v, d), n) => (v, d, n) }.toDF("value", "domainId", "support")
+    val counts = CellCounts.of(oracleLake)
+    val domains = D4.clusterColumns(counts.numAttrs, D4.similarPairs(counts, tau = 0.2), minDomainCols = 2)
+    val named = counts.attrNames.indices.collect { case c if domains(c) >= 0 => (counts.attrNames(c), domains(c).toLong) }
+    assert(named.map(_._2).toSet.size === 2 && !named.exists(_._1 == "T4.m"))
+    val got = D4.supports(counts, domains).toSeq
+      .map { case (v, d, n) => (counts.valueNames(v), d.toLong, n) }.toDF("value", "domainId", "support")
     Oracle.assertEquivalent(got,
       """SELECT c.value, d.domainId, count(*) AS support
         |FROM cells c JOIN domains d ON c.attribute = d.attribute
         |GROUP BY c.value, d.domainId""".stripMargin,
-      "cells" -> cells, "domains" -> domains.toSeq.toDF("attribute", "domainId"))
+      "cells" -> cells, "domains" -> named.toDF("attribute", "domainId"))
   }
 
   test("an empty lake gives an empty result") {
@@ -189,11 +182,9 @@ class D4Spec extends SparkSpec {
     }
 
   test("column clusters are labelled by their smallest column index") {
-    val columns = Array("a", "b", "c", "d", "e", "f")
-    val similar = Array("f" -> "d", "e" -> "b", "d" -> "c", "b" -> "e")
-    assert(D4.clusterColumns(columns, similar, minDomainCols = 2) ===
-      Map("b" -> 1L, "e" -> 1L, "c" -> 2L, "d" -> 2L, "f" -> 2L))
-    assert(D4.clusterColumns(columns, similar, minDomainCols = 1)("a") === 0L)
-    assert(D4.clusterColumns(columns, similar, minDomainCols = 3).keySet === Set("c", "d", "f"))
+    val similar = Array(5 -> 3, 4 -> 1, 3 -> 2, 1 -> 4)
+    assert(D4.clusterColumns(6, similar, minDomainCols = 2).toSeq === Seq(-1, 1, 2, 2, 1, 2))
+    assert(D4.clusterColumns(6, similar, minDomainCols = 1)(0) === 0)
+    assert(D4.clusterColumns(6, similar, minDomainCols = 3).toSeq === Seq(-1, -1, 2, 2, -1, 2))
   }
 }

@@ -12,7 +12,7 @@ class SyntheticBenchmarkSpec extends SparkSpec {
     assert(sb.tables.size === 13)
     val attrs = sb.tables.map { case (_, df) => df.columns.length }.sum
     assert(attrs === 35) // our tables have 2-3 columns each (paper: 39)
-    assert(sb.lake.numAttributes === 35)
+    assert(sb.lake.cells.select("attribute").distinct().count() === 35)
   }
 
   test("exactly 55 homographs are planted, 20 in the small code domains") {
@@ -32,8 +32,8 @@ class SyntheticBenchmarkSpec extends SparkSpec {
 
   test("every planted homograph appears in at least two attributes of the graph") {
     val g = LakeGraph.build(sb.lake)
-    val degrees = g.candidateValues.toSet
-    val missing = sb.homographs.diff(degrees)
+    val multiAttr = (0 until g.numValues).filter(g.csr.degree(_) >= 2).map(g.valueNames(_)).toSet
+    val missing = sb.homographs.diff(multiAttr)
     assert(missing.isEmpty, s"homographs without 2 attributes: $missing")
   }
 

@@ -1,7 +1,7 @@
 package repro.data
 
 import repro.{Oracle, SparkSpec}
-import repro.core.LakeGraph
+import repro.core.{LakeGraph, Lcc}
 import org.apache.spark.sql.functions._
 
 class TusGenSpec extends SparkSpec {
@@ -123,14 +123,15 @@ class TusGenSpec extends SparkSpec {
 
   test("cardinalities matches a brute-force |N(v)| computation") {
     val spec = tusISpec
-    val sample = spec.vocabulary.take(30).toSet
-    val got = spec.cardinalities(sample)
+    val g = LakeGraph.build(spec.toLake(spark), minOccurrences = 1)
+    val got = Lcc.valueNeighbourCounts(g.csr)
+    val sample = spec.vocabulary.take(30)
     sample.foreach { v =>
       val union = spec.columns.iterator
         .filter(_.values.contains(v))
         .flatMap(_.values)
         .toSet
-      assert(got(v) === union.size - 1, s"value $v")
+      assert(got(g.valueNames.indexOf(v)) === union.size - 1, s"value $v")
     }
   }
 
