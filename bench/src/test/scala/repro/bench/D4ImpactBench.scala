@@ -28,18 +28,18 @@ class D4ImpactBench extends SparkSpec {
         if (n == 0) spec
         else TusGen.inject(spec, count = n, meanings = 2, minAttrCardinality = 1, seed = 77 + n).spec
       val r = D4.run(spark, lakeSpec.toLake(spark), D4.Config(tau = 0.3, dominance = 0.0))
-      println(f"  $n%5d   | ${r.numDomains}%5d   | ${r.multiDomainValueCount}%8d            | ${r.avgDomainsPerValue}%.4f")
+      println(f"  $n%5d   | ${r.numDomains}%5d   | ${r.homographs.size}%8d            | ${r.avgDomainsPerValue}%.4f")
       n -> r
     }.toMap
 
     // Baseline ambiguity is small but nonzero: domain fragments (the
     // union-group slicing effect) already split some columns, mirroring the
     // paper's D4 finding 134 domains for TUS-I's 68 true union groups.
-    val base0 = results(0).multiDomainValueCount
-    assert(results(50).multiDomainValueCount > base0,
+    val base0 = results(0).homographs.size
+    assert(results(50).homographs.size > base0,
       "injections should increase ambiguous assignments")
-    assert(results(100).multiDomainValueCount > results(50).multiDomainValueCount)
-    assert(results(200).multiDomainValueCount > results(100).multiDomainValueCount)
+    assert(results(100).homographs.size > results(50).homographs.size)
+    assert(results(200).homographs.size > results(100).homographs.size)
     assert(results(200).avgDomainsPerValue > results(0).avgDomainsPerValue)
     // discovered domains track (and, via fragments, exceed) the 30 true ones
     assert(results(0).numDomains >= 25 && results(0).numDomains <= 60)

@@ -3,6 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.core.{Betweenness, LakeGraph}
 import repro.data.TusGen
+import repro.eval.Experiments
 
 /** Paper §5.4 (Figures 8-9): graph construction is minutes-scale even for
   * the 1.5M-node NYC-EDU lake, and approximate-BC runtime grows linearly
@@ -23,7 +24,7 @@ class ScalabilityBench extends SparkSpec {
       val t0 = System.nanoTime()
       val csr = LakeGraph.build(lake).csr
       val buildS = (System.nanoTime() - t0) / 1e9
-      val samples = math.max(100, csr.numNodes / 100)
+      val samples = Experiments.bcSources(csr.numNodes)
       val t1 = System.nanoTime()
       Betweenness.approximate(spark, csr, samples, seed = 7)
       val bcS = (System.nanoTime() - t1) / 1e9

@@ -28,10 +28,10 @@ import org.apache.spark.sql.SparkSession
   * Patterson, SC 2012): a level expands top-down from the frontier, or,
   * when the frontier's adjacency exceeds that of the unvisited nodes on
   * the next side, bottom-up: every unvisited node sums the path counts of
-  * its frontier neighbours. The dependency pass pulls: in reverse BFS
-  * order `δ(w) = σ(w) · Σ_{x∈N(w)} c(x)` with `c(x) = (1 + δ(x)) / σ(x)`,
-  * where `c` is still 0 on the level above `w`, so no distance test is
-  * needed.
+  * its neighbours, which are 0 off the frontier. The dependency pass
+  * pulls: in reverse BFS order `δ(w) = σ(w) · Σ_{x∈N(w)} c(x)` with
+  * `c(x) = (1 + δ(x)) / σ(x)`, where `c` is still 0 on the level above
+  * `w`, so no distance test is needed.
   *
   * Distribution strategy (per the reproduction's distributed-dataflow
   * design): the graph topology is broadcast as a [[Csr]]; BFS sources are
@@ -82,19 +82,18 @@ object Betweenness {
     */
   private[core] def exactSources(csr: Csr): (Array[Int], Array[Int]) = {
     val classes = ValueClasses.of(csr)
-    val nv = csr.numValues
+    val q = classes.quotient
     val weights = Array.fill(csr.numNodes)(1)
     val multi = scala.collection.mutable.ArrayBuilder.make[Int]
     var c = 0
     while (c < classes.numClasses) {
-      val attrs = classes.attrs(c)
-      if (attrs.length >= 2) {
+      if (q.degree(c) >= 2) {
         multi += classes.representative(c)
         weights(classes.representative(c)) = classes.size(c)
-      } else if (attrs.length == 1) weights(attrs(0)) += classes.size(c)
+      } else if (q.degree(c) == 1) weights(classes.graphId(q.neighbors(q.offsets(c)))) += classes.size(c)
       c += 1
     }
-    val sources = multi.result() ++ Array.range(nv, csr.numNodes)
+    val sources = multi.result() ++ Array.range(csr.numValues, csr.numNodes)
     (sources, sources.map(weights))
   }
 
@@ -164,14 +163,12 @@ object Betweenness {
   }
 
   /** Reusable per-task scratch space for Brandes' algorithm. `dist` is
-    * -1 and `sigma`, `coeff` and `front` are 0 on every node between
-    * sources.
+    * -1 and `sigma` and `coeff` are 0 on every node between sources.
     */
   private final class BrandesState(g: Csr) {
     val dist = Array.fill(g.numNodes)(-1)
     val sigma = new Array[Double](g.numNodes)
     val coeff = new Array[Double](g.numNodes) // (1 + δ) / σ of finished nodes
-    val front = new Array[Double](g.numNodes) // σ of the frontier, during a bottom-up step
     val order = new Array[Int](g.numNodes) // nodes in BFS visitation order
     // unvisited nodes of each side, built on a BFS's first bottom-up step there
     val unvisitedValues = new Array[Int](g.numValues)
@@ -226,8 +223,6 @@ object Betweenness {
           k += 1
         }
       } else {
-        var k = levelStart
-        while (k < levelEnd) { front(order(k)) = sigma(order(k)); k += 1 }
         val unvisited = if (nextIsValue) unvisitedValues else unvisitedAttrs
         var len = if (nextIsValue) numUnvisitedValues else numUnvisitedAttrs
         if (len < 0) {
@@ -239,7 +234,9 @@ object Betweenness {
             u += 1
           }
         }
-        // keep the still-unvisited nodes in place, drop the rest
+        // Keep the still-unvisited nodes in place, drop the rest. An
+        // unvisited node's visited neighbours all lie on the frontier, and
+        // its unvisited ones have σ = 0, so it sums σ over all neighbours.
         var kept = 0
         var j = 0
         while (j < len) {
@@ -248,7 +245,7 @@ object Betweenness {
             var paths = 0.0
             var i = offsets(u)
             val end = offsets(u + 1)
-            while (i < end) { paths += front(nbrs(i)); i += 1 }
+            while (i < end) { paths += sigma(nbrs(i)); i += 1 }
             if (paths > 0) {
               dist(u) = d + 1
               sigma(u) = paths
@@ -261,8 +258,6 @@ object Betweenness {
           j += 1
         }
         if (nextIsValue) numUnvisitedValues = kept else numUnvisitedAttrs = kept
-        k = levelStart
-        while (k < levelEnd) { front(order(k)) = 0.0; k += 1 }
       }
       if (nextIsValue) valueEdgesLeft -= nextEdges else attrEdgesLeft -= nextEdges
       frontierEdges = nextEdges

@@ -31,7 +31,8 @@ import org.apache.spark.sql.SparkSession
   * where B ranges over classes sharing ≥1 attribute with A and J is the
   * attribute-set Jaccard. The graph is already on the driver, so LCC runs
   * there: for each class a dense counter collects the attribute
-  * intersections with its co-classes through an attribute → classes index.
+  * intersections with its co-classes by walking class → attribute → class
+  * on the classes' quotient graph.
   */
 object Lcc {
 
@@ -40,15 +41,15 @@ object Lcc {
     */
   def compute(spark: SparkSession, csr: Csr): Array[Double] = {
     val classes = ValueClasses.of(csr)
+    val q = classes.quotient
     val classLcc = new Array[Double](classes.numClasses)
-    foreachClass(csr, classes) { (c, denom, touched, numTouched, inter) =>
+    foreachClass(classes) { (c, denom, touched, numTouched, inter) =>
       if (denom > 0) {
-        val cAttrs = classes.attrs(c)
         var num = 0.0
         var k = 0
         while (k < numTouched) {
           val b = touched(k)
-          val union = cAttrs.length + classes.attrs(b).length - inter(b)
+          val union = q.degree(c) + q.degree(b) - inter(b)
           val weight = classes.size(b) - (if (b == c) 1 else 0)
           if (weight > 0 && union > 0) num += weight.toDouble * inter(b) / union
           k += 1
@@ -67,7 +68,7 @@ object Lcc {
   def valueNeighbourCounts(csr: Csr): Array[Int] = {
     val classes = ValueClasses.of(csr)
     val count = new Array[Int](classes.numClasses)
-    foreachClass(csr, classes)((c, vn, _, _, _) => count(c) = vn)
+    foreachClass(classes)((c, vn, _, _, _) => count(c) = vn)
     Array.tabulate(csr.numValues)(u => count(classes.classOf(u)))
   }
 
@@ -76,43 +77,21 @@ object Lcc {
     * least one attribute with `c` (itself included), ascending, `inter(b)`
     * is the number of attributes class `b` shares with `c`, and `vn` is
     * |VN| of each member of `c` (the co-classes' sizes, less the member
-    * itself). The walk goes through an attribute → classes index in CSR
-    * form.
+    * itself). The walk goes class → attribute → class on the quotient.
     */
-  private def foreachClass(csr: Csr, classes: ValueClasses)(
+  private def foreachClass(classes: ValueClasses)(
       f: (Int, Int, Array[Int], Int, Array[Int]) => Unit): Unit = {
-    val nv = csr.numValues
+    val q = classes.quotient
     val nc = classes.numClasses
-
-    // attribute -> classes containing it, in CSR form, class ids ascending
-    val na = csr.numAttrs
-    val attrStart = new Array[Int](na + 1)
-    var c = 0
-    while (c < nc) { classes.attrs(c).foreach(a => attrStart(a - nv + 1) += 1); c += 1 }
-    var a = 0
-    while (a < na) { attrStart(a + 1) += attrStart(a); a += 1 }
-    val attrClasses = new Array[Int](attrStart(na))
-    val fill = java.util.Arrays.copyOf(attrStart, na)
-    c = 0
-    while (c < nc) {
-      classes.attrs(c).foreach { att => attrClasses(fill(att - nv)) = c; fill(att - nv) += 1 }
-      c += 1
-    }
-
-    // per class: attribute intersections with every co-class (incl. itself)
     val inter = new Array[Int](nc)
     val touched = new Array[Int](nc)
-    c = 0
+    var c = 0
     while (c < nc) {
       var numTouched = 0
-      classes.attrs(c).foreach { att =>
-        var i = attrStart(att - nv)
-        val end = attrStart(att - nv + 1)
-        while (i < end) {
-          val b = attrClasses(i)
+      q.foreachNeighbor(c) { att =>
+        q.foreachNeighbor(att) { b =>
           if (inter(b) == 0) { touched(numTouched) = b; numTouched += 1 }
           inter(b) += 1
-          i += 1
         }
       }
       java.util.Arrays.sort(touched, 0, numTouched)

@@ -15,10 +15,10 @@ import repro.lake.DataLake
   * substitution 5). It preserves the two failure modes the paper attributes
   * to D4:
   *
-  *   1. *Partial coverage* — domains are clusters of at least
-  *      `minDomainCols` columns whose value sets overlap strongly
-  *      (Jaccard >= `tau`); a column without a sufficiently similar peer is
-  *      assigned no domain, so homographs occurring there are invisible
+  *   1. *Partial coverage* — domains are clusters of at least two
+  *      columns whose value sets overlap strongly (Jaccard >= `tau`); a
+  *      column without a sufficiently similar peer is assigned no
+  *      domain, so homographs occurring there are invisible
   *      (the paper: D4 mapped domains onto only 14 of SB's 39 columns).
   *   2. *Dominant-meaning absorption* — a value supported much more
   *      strongly by one domain is assigned only to that domain
@@ -41,9 +41,8 @@ object D4 {
   /** @param tau         minimum column-pair Jaccard to link two columns
     * @param dominance   keep a value's domain only if its support is at
     *                    least `dominance` times its best domain's support
-    * @param minDomainCols minimum columns for a cluster to count as a domain
     */
-  final case class Config(tau: Double = 0.4, dominance: Double = 0.6, minDomainCols: Int = 2)
+  final case class Config(tau: Double = 0.4, dominance: Double = 0.6)
 
   /** @param columnDomains   domain id of every column that received one;
     *                        a domain is labelled by the smallest id of its
@@ -62,9 +61,6 @@ object D4 {
     /** Values assigned to >= 2 domains. */
     lazy val homographs: Set[String] = domainsPerValue.collect { case (v, n) if n >= 2 => v }.toSet
 
-    /** Values assigned to more than one domain. */
-    def multiDomainValueCount: Long = homographs.size.toLong
-
     /** Average number of domains per assigned value (paper §5.5 reports the
       * analogous per-column statistic for D4).
       */
@@ -77,7 +73,7 @@ object D4 {
 
   /** The driver part of [[run]], over the lake's cell counts. */
   def discover(counts: CellCounts, config: Config = Config()): Result = {
-    val columnDomain = clusterColumns(counts.numAttrs, similarPairs(counts, config.tau), config.minDomainCols)
+    val columnDomain = clusterColumns(counts.numAttrs, similarPairs(counts, config.tau), minDomainCols = 2)
     // Dominant-meaning pruning of each value's domains.
     val domainsPerValue = supports(counts, columnDomain).groupMap(_._1)(_._3).map { case (v, s) =>
       val best = s.max

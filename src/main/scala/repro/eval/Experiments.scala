@@ -12,8 +12,10 @@ import repro.lake.DataLake
   */
 object Experiments {
 
-  /** BFS sources for sampled BC: 1% of the nodes, at least 500. */
-  private def bcSources(graph: LakeGraph): Int = math.max(500, graph.numNodes / 100)
+  /** BFS sources for sampled BC on a graph of `numNodes` nodes: 1% of the
+    * nodes, at least 500.
+    */
+  def bcSources(numNodes: Int): Int = math.max(500, numNodes / 100)
 
   // ------------------------------------------------------------------
   // SB: BC vs LCC vs D4 (paper §5.1, Figures 5-6 and the 69% / 38% claim)
@@ -46,12 +48,6 @@ object Experiments {
     // SB (domains on 14 of 39 columns; homographs often absorbed into the
     // dominant meaning) — see DESIGN.md substitution 5.
     val d4 = D4.discover(counts, D4.Config(tau = 0.35, dominance = 0.35))
-    // D4 flags a set (not a ranking); following the paper we score its
-    // flagged set against the k=|truth| operating point.
-    val d4Hits = d4.homographs.count(truth.contains)
-    val d4P = if (d4.homographs.isEmpty) 0.0 else d4Hits.toDouble / d4.homographs.size
-    val d4R = d4Hits.toDouble / k
-    val d4F = if (d4P + d4R == 0) 0.0 else 2 * d4P * d4R / (d4P + d4R)
 
     val missed = truth.diff(bcTop.toSet)
     SbResult(
@@ -60,7 +56,9 @@ object Experiments {
       numEdges = graph.numEdges,
       bcPrf = Metrics.atK(bcTop, truth, k),
       lccPrf = Metrics.atK(lccTop, truth, k),
-      d4Prf = Metrics.Prf(d4P, d4R, d4F),
+      // D4 flags a set (not a ranking); following the paper we score its
+      // flagged set against the k=|truth| operating point.
+      d4Prf = Metrics.ofSet(d4.homographs, truth),
       d4NumDomains = d4.numDomains,
       d4CoveredColumns = d4.coveredColumns,
       d4Flagged = d4.homographs.size,
@@ -85,7 +83,7 @@ object Experiments {
     val spec = TusGen.tusI(seed, base)
     val inj = TusGen.inject(spec, count, meanings, minAttrCardinality, seed = seed * 1031 + 17)
     val graph = LakeGraph.build(inj.spec.toLake(spark))
-    val bc = DomainNet.score(spark, graph, graph.csr, DomainNet.ApproxBC(bcSources(graph), seed = seed + 5))
+    val bc = DomainNet.score(spark, graph, graph.csr, DomainNet.ApproxBC(bcSources(graph.numNodes), seed = seed + 5))
     val top = bc.topK(count).toSet
     val found = inj.injected.count(top.contains)
     100.0 * found / inj.injected.size
@@ -122,7 +120,7 @@ object Experiments {
     val spec = TusGen.generate(params)
     val truth = spec.homographs
     val graph = LakeGraph.build(spec.toLake(spark))
-    val bc = DomainNet.score(spark, graph, graph.csr, DomainNet.ApproxBC(bcSources(graph), seed = params.seed + 3))
+    val bc = DomainNet.score(spark, graph, graph.csr, DomainNet.ApproxBC(bcSources(graph.numNodes), seed = params.seed + 3))
     val ranking = bc.topK(graph.numValues)
     val top10 = bc.order.take(10).toSeq.map(i => graph.valueNames(i) -> bc.score(i))
     val (bestK, best) = Metrics.bestF1(ranking, truth)

@@ -18,6 +18,12 @@ object Metrics {
     prf(hits, k, truth.size)
   }
 
+  /** Precision, recall and F1 of a flagged set (not a ranking), such as
+    * D4's homographs; an empty set has precision 0.
+    */
+  def ofSet(flagged: Set[String], truth: Set[String]): Prf =
+    prf(flagged.count(truth.contains), flagged.size, truth.size)
+
   /** Precision@|truth| — the paper's default operating point ("k is set to
     * the true number of homographs"), where P = R = F1.
     */

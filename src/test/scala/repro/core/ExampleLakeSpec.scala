@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.lake.DataLake
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Reconstructs the paper's running example (Figure 1, four tables) and
   * checks the worked numbers of Example 3.6: LCC(Jaguar)=0.36,
@@ -11,36 +11,8 @@ import org.apache.spark.sql.DataFrame
   */
 class ExampleLakeSpec extends SparkSpec {
 
-  private def figure1Lake: DataLake = {
-    import spark.implicits._
-    val t1: DataFrame = Seq(
-      ("Google", "Panda", "1M"),
-      ("Volkswagen", "Puma", "2M"),
-      ("BMW", "Jaguar", "0.9M"),
-      ("Amazon", "Pelican", "1.5M"),
-    ).toDF("Donor", "AtRisk", "Donation")
-    val t2 = Seq(
-      ("Panda", "Memphis", "2"),
-      ("Panda", "Atlanta", "2"),
-      ("Lemur", "National", "20"),
-      ("Jaguar", "San Diego", "8"),
-    ).toDF("name", "locale", "num")
-    val t3 = Seq(
-      ("XE", "Jaguar", "UK"),
-      ("Prius", "Toyota", "Japan"),
-      ("500", "Fiat", "Italy"),
-    ).toDF("C1", "C2", "C3")
-    val t4 = Seq(
-      ("Jaguar", "25.80", "43224"),
-      ("Puma", "4.64", "13000"),
-      ("Apple", "456", "370870"),
-      ("Toyota", "123", "123456"),
-    ).toDF("Name", "Revenue", "Total")
-    DataLake.fromTables(Seq("T1" -> t1, "T2" -> t2, "T3" -> t3, "T4" -> t4))
-  }
-
   // keep singletons: the worked example scores the full graph
-  private lazy val graph = LakeGraph.build(figure1Lake, minOccurrences = 1)
+  private lazy val graph = LakeGraph.build(ExampleLakeSpec.figure1Lake(spark), minOccurrences = 1)
   private lazy val csr = BipartiteGraph.toCsr(graph)
   private lazy val valueId: Map[String, Int] = {
     import spark.implicits._
@@ -93,7 +65,7 @@ class ExampleLakeSpec extends SparkSpec {
   }
 
   test("with default preprocessing, single-occurrence values are pruned") {
-    val pruned = LakeGraph.build(figure1Lake) // minOccurrences = 2
+    val pruned = LakeGraph.build(ExampleLakeSpec.figure1Lake(spark)) // minOccurrences = 2
     import spark.implicits._
     val kept = pruned.values.as[(String, Long)].collect().map(_._1).toSet
     // repeated values survive
@@ -102,5 +74,37 @@ class ExampleLakeSpec extends SparkSpec {
     assert(!kept.contains("GOOGLE"))
     assert(!kept.contains("PELICAN"))
     assert(!kept.contains("MEMPHIS"))
+  }
+}
+
+object ExampleLakeSpec {
+
+  /** The paper's Figure 1: four tables sharing Jaguar, Puma and Panda. */
+  def figure1Lake(spark: SparkSession): DataLake = {
+    import spark.implicits._
+    val t1: DataFrame = Seq(
+      ("Google", "Panda", "1M"),
+      ("Volkswagen", "Puma", "2M"),
+      ("BMW", "Jaguar", "0.9M"),
+      ("Amazon", "Pelican", "1.5M"),
+    ).toDF("Donor", "AtRisk", "Donation")
+    val t2 = Seq(
+      ("Panda", "Memphis", "2"),
+      ("Panda", "Atlanta", "2"),
+      ("Lemur", "National", "20"),
+      ("Jaguar", "San Diego", "8"),
+    ).toDF("name", "locale", "num")
+    val t3 = Seq(
+      ("XE", "Jaguar", "UK"),
+      ("Prius", "Toyota", "Japan"),
+      ("500", "Fiat", "Italy"),
+    ).toDF("C1", "C2", "C3")
+    val t4 = Seq(
+      ("Jaguar", "25.80", "43224"),
+      ("Puma", "4.64", "13000"),
+      ("Apple", "456", "370870"),
+      ("Toyota", "123", "123456"),
+    ).toDF("Name", "Revenue", "Total")
+    DataLake.fromTables(Seq("T1" -> t1, "T2" -> t2, "T3" -> t3, "T4" -> t4))
   }
 }

@@ -78,7 +78,7 @@ class D4Spec extends SparkSpec {
 
   test("value assignment statistics") {
     val r = D4.run(spark, cleanLake)
-    assert(r.multiDomainValueCount === 0)
+    assert(r.homographs.size === 0)
     assert(r.avgDomainsPerValue === 1.0)
   }
 

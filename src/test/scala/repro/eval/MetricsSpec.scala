@@ -58,6 +58,16 @@ class MetricsSpec extends AnyFunSuite {
     assert(atK(Seq.empty, truth, 0).f1 === 0.0)
   }
 
+  test("a flagged set scores as a top-k cut of its own size") {
+    val flagged = Set("a", "b", "x")
+    assert(ofSet(flagged, truth) === atK(flagged.toSeq, truth, flagged.size))
+    val p = ofSet(flagged, truth)
+    assert(p.precision === 2.0 / 3 && p.recall === 0.5)
+    assert(math.abs(p.f1 - 4.0 / 7) < 1e-12)
+    assert(ofSet(Set.empty, truth) === Prf(0.0, 0.0, 0.0))
+    assert(ofSet(Set("x"), Set.empty) === Prf(0.0, 0.0, 0.0))
+  }
+
   for (k <- 1 to 6)
     test(s"curve entry at k=$k agrees with atK") {
       val ranking = Seq("a", "x", "b", "c", "y", "d")
