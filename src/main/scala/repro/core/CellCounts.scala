@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 import repro.lake.DataLake
 
 /** The lake's normalized cells, aggregated once: how often each value
@@ -13,9 +13,6 @@ import repro.lake.DataLake
   * Pair `i` is value `valueIds(i)` in attribute `attrIds(i)`, seen
   * `occurrences(i)` times. Pairs are sorted by (value id, attribute id), so
   * each value's pairs form one contiguous run.
-  *
-  * The driver holds O(distinct (value, attribute) pairs) strings and ids;
-  * `spark.driver.maxResultSize` bounds the collect.
   */
 final class CellCounts private (
     val valueNames: Array[String],
@@ -46,25 +43,58 @@ final class CellCounts private (
 
 object CellCounts {
 
-  /** One `groupBy(value, attribute)` count over the normalized cells,
-    * collected; ids and the pair order are made on the driver.
+  /** Counts the normalized cells in one map-only Spark stage: each
+    * partition counts its own (value, attribute) pairs, and the partial
+    * counts are collected. The driver gives ids, sorts the partials by
+    * (value id, attribute id) and sums each run of equal pairs, so the
+    * result does not depend on how the cells are partitioned.
+    *
+    * The driver holds, per partition, that partition's distinct pairs: at
+    * most min(cells, partitions × distinct pairs) strings and counts. This
+    * is the number of distinct pairs when no pair straddles partitions, as
+    * in `repro.data.TusGen`'s lakes, which keep each column in one
+    * partition. `spark.driver.maxResultSize` bounds the collect.
+    *
+    * Every cell with a non-empty value needs a non-null attribute id.
     */
   def of(lake: DataLake): CellCounts = {
-    val spark = lake.cells.sparkSession
-    import spark.implicits._
-    val rows = LakeGraph.normalizedCells(lake)
-      .groupBy("value", "attribute").agg(count(lit(1)).as("occ"))
-      .as[(String, String, Long)]
-      .collect()
-    val valueNames = rows.iterator.map(_._1).toArray.distinct.sorted(LakeGraph.Utf8Order)
-    val attrNames = rows.iterator.map(_._2).toArray.distinct.sorted(LakeGraph.Utf8Order)
+    val partials = LakeGraph.normalizedCells(lake).rdd.mapPartitions { rows =>
+      val counts = mutable.HashMap.empty[(String, String), Long]
+      rows.foreach { r =>
+        val pair = (r.getString(1), r.getString(0))
+        counts.update(pair, counts.getOrElse(pair, 0L) + 1)
+      }
+      val values = new Array[String](counts.size)
+      val attrs = new Array[String](counts.size)
+      val occ = new Array[Long](counts.size)
+      var i = 0
+      counts.foreach { case ((v, a), n) => values(i) = v; attrs(i) = a; occ(i) = n; i += 1 }
+      Iterator.single((values, attrs, occ))
+    }.collect()
+    val values = partials.flatMap(_._1)
+    val attrs = partials.flatMap(_._2)
+    val occ = partials.flatMap(_._3)
+    require(!attrs.contains(null), "every lake cell with a non-empty value needs a non-null attribute id")
+    val valueNames = values.distinct.sorted(LakeGraph.Utf8Order)
+    val attrNames = attrs.distinct.sorted(LakeGraph.Utf8Order)
     val valueId = valueNames.iterator.zipWithIndex.toMap
     val attrId = attrNames.iterator.zipWithIndex.toMap
-    val v = rows.map(r => valueId(r._1))
-    val a = rows.map(r => attrId(r._2))
+    val v = values.map(valueId)
+    val a = attrs.map(attrId)
     // LSD radix sort: stable by attribute, then stable by value.
-    val order = countingOrder(v, valueNames.length, countingOrder(a, attrNames.length, Array.range(0, rows.length)))
-    new CellCounts(valueNames, attrNames, order.map(v), order.map(a), order.map(rows(_)._3))
+    val order = countingOrder(v, valueNames.length, countingOrder(a, attrNames.length, Array.range(0, values.length)))
+    // A pair that straddles partitions has one partial per partition: sum each run.
+    val runStart = Array.range(0, order.length).filter { k =>
+      k == 0 || v(order(k)) != v(order(k - 1)) || a(order(k)) != a(order(k - 1))
+    }
+    val occurrences = Array.tabulate(runStart.length) { r =>
+      val until = if (r + 1 < runStart.length) runStart(r + 1) else order.length
+      var sum = 0L
+      var k = runStart(r)
+      while (k < until) { sum += occ(order(k)); k += 1 }
+      sum
+    }
+    new CellCounts(valueNames, attrNames, runStart.map(k => v(order(k))), runStart.map(k => a(order(k))), occurrences)
   }
 
   /** `rows` stably reordered by `key(row)`, a key in `[0, numKeys)`. */

@@ -101,11 +101,12 @@ object LakeGraph {
 
   /** Build the bipartite graph: [[of]] over the lake's [[CellCounts]].
     *
-    * One Spark aggregation counts every distinct (value, attribute) pair of
-    * the normalized cells, and the counts are collected; pruning, ids and
-    * the [[Csr]] are made on the driver. The driver therefore holds
-    * O(distinct (value, attribute) pairs), singletons included, as
-    * `repro.d4.D4` does; `spark.driver.maxResultSize` bounds the collect.
+    * One map-only Spark stage counts each partition's (value, attribute)
+    * pairs of the normalized cells, and the partial counts are summed on the
+    * driver; pruning, ids and the [[Csr]] are made there too. The driver
+    * therefore holds what [[CellCounts.of]] collects, at most min(cells,
+    * partitions × distinct pairs) with singletons included, as `repro.d4.D4`
+    * does.
     */
   def build(lake: DataLake, minOccurrences: Int = 2): LakeGraph = of(CellCounts.of(lake), minOccurrences)
 

@@ -26,15 +26,14 @@ import repro.lake.DataLake
   *      homographs are missed (the paper: "D4 at times placing homographs
   *      into a domain represented by their most popular meaning").
   *
-  * Pipeline: the lake's [[CellCounts]] (one Spark aggregation counting
-  * every distinct (value, attribute) pair of the normalized cells, then a
-  * collect) feed the driver part, [[discover]]: column cardinalities and
-  * overlaps, the Jaccard threshold, column clustering (union-find over at
-  * most a few thousand columns), per-domain supports and dominant-meaning
-  * pruning, all over the counts' ids. The driver therefore holds
-  * O(distinct (value, attribute) pairs), singletons included, as
-  * `repro.core.LakeGraph.build` does; `spark.driver.maxResultSize` bounds
-  * the collect.
+  * Pipeline: the lake's [[CellCounts]] (one map-only Spark stage counting
+  * each partition's (value, attribute) pairs of the normalized cells, summed
+  * on the driver) feed the driver part, [[discover]]: column cardinalities
+  * and overlaps, the Jaccard threshold, column clustering (union-find over
+  * at most a few thousand columns), per-domain supports and dominant-meaning
+  * pruning, all over the counts' ids. The driver therefore holds what
+  * [[CellCounts.of]] collects, at most min(cells, partitions × distinct
+  * pairs) with singletons included, as `repro.core.LakeGraph.build` does.
   */
 object D4 {
 

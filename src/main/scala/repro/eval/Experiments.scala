@@ -152,7 +152,7 @@ object Experiments {
       meaningsMax: Int)
 
   /** Statistics of a lake, from its [[CellCounts]]: one Spark
-    * aggregation. The cardinality range Card(H) = |N(v)| is taken over the
+    * stage. The cardinality range Card(H) = |N(v)| is taken over the
     * homographs only (as in the paper's footnote 3), on the graph that
     * keeps every value (`minOccurrences = 1`); an isolated homograph
     * counts 0. Every homograph must be a normalized value of the lake.

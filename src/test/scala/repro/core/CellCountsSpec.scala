@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{countDistinct, spark_partition_id}
 import repro.{Oracle, SparkSpec}
 import repro.lake.DataLake
 
@@ -38,5 +39,44 @@ class CellCountsSpec extends SparkSpec {
       (v, counts.valueIds.indexOf(v), counts.valueIds.lastIndexOf(v) + 1)
     }
     assert(runs.result() === expected)
+  }
+
+  private def arrays(c: CellCounts) =
+    (c.valueNames.toSeq, c.attrNames.toSeq, c.valueIds.toSeq, c.attrIds.toSeq, c.occurrences.toSeq)
+
+  test("counts do not depend on how the cells are partitioned") {
+    // 48 cells: fewer than 64, so 64 partitions leave some empty
+    val original = DataLake.ofColumns(spark,
+      "T.a" -> (0 until 24).map(i => s"v${i % 5}"),
+      "T.b" -> (0 until 20).map(i => s"v${i % 7}"),
+      "U.c" -> Seq("v1", "w", "v1", "x"))
+    val expected = arrays(CellCounts.of(original))
+    for (n <- Seq(1, 7, 64)) {
+      val cells = original.cells.repartition(n)
+      // at 7 and 64 partitions some pair straddles partitions
+      val part = cells.withColumn("part", spark_partition_id())
+      val straddling = part.groupBy("value", "attribute").agg(countDistinct("part").as("parts")).filter("parts > 1")
+      if (n > 1) assert(straddling.count() > 0, s"$n partitions")
+      if (n == 64) assert(part.select("part").distinct().count() < n)
+      assert(arrays(CellCounts.of(DataLake(cells, original.numTables))) === expected, s"$n partitions")
+    }
+  }
+
+  test("an empty lake and a lake of null or empty values have no pairs") {
+    for (l <- Seq(DataLake.ofColumns(spark), DataLake.ofColumns(spark, "T.a" -> Seq(null, "", " "), "T.b" -> Seq(null)))) {
+      val c = CellCounts.of(l)
+      assert((c.numPairs, c.numValues, c.numAttrs) === ((0, 0, 0)))
+    }
+  }
+
+  test("a cell with a value and a null attribute id is rejected") {
+    import spark.implicits._
+    val mixed = Seq(("T.a", "x"), (null, "y"), ("T.a", "y"))
+    val onlyNull = Seq((null: String, "x"), (null, "x"))
+    for (cells <- Seq(mixed, onlyNull)) {
+      val l = DataLake.fromCells(cells.toDF("attribute", "value"), numTables = 1)
+      val e = intercept[IllegalArgumentException](CellCounts.of(l))
+      assert(e.getMessage.contains("non-null attribute id"))
+    }
   }
 }

@@ -65,6 +65,16 @@ class DomainNetSpec extends SparkSpec {
     }
   }
 
+  test("run with exact BC submits 2 Spark stages: the cell aggregation and BC") {
+    val l = lake
+    assert(stagesSubmitted(DomainNet.run(spark, l, DomainNet.ExactBC)) === 2)
+  }
+
+  test("run with LCC submits 1 Spark stage: the cell aggregation") {
+    val l = lake
+    assert(stagesSubmitted(DomainNet.run(spark, l, DomainNet.LCC)) === 1)
+  }
+
   test("run leaves no persisted RDDs behind") {
     // a lake no other test uses, so no cached plan from an earlier run is reused
     val fresh = DataLake.ofColumns(spark,

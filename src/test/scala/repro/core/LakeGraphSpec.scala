@@ -27,9 +27,9 @@ class LakeGraphSpec extends SparkSpec {
     assert(values.toSeq.sorted === Seq("\tX", "X", "X", "X\n", "X\u00A0", "\u00A0X").sorted)
   }
 
-  test("build runs 2 Spark stages") {
+  test("build runs 1 Spark stage") {
     val lake = smallLake
-    assert(stagesSubmitted(LakeGraph.build(lake)) === 2)
+    assert(stagesSubmitted(LakeGraph.build(lake)) === 1)
   }
 
   test("build drops values occurring once and deduplicates edges") {

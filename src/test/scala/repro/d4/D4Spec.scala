@@ -156,9 +156,9 @@ class D4Spec extends SparkSpec {
     assert(D4.run(spark, DataLake.ofColumns(spark)) === D4.Result(Map.empty, Map.empty))
   }
 
-  test("run is one aggregation: 2 Spark stages") {
+  test("run is one aggregation: 1 Spark stage") {
     val lake = oracleLake
-    assert(stagesSubmitted(D4.run(spark, lake)) === 2)
+    assert(stagesSubmitted(D4.run(spark, lake)) === 1)
   }
 
   // Recorded before D4's column overlaps, clustering and supports moved to

@@ -14,8 +14,8 @@ class ExperimentsSpec extends SparkSpec {
     assert(pct >= 60.0, s"found only $pct%")
   }
 
-  test("runSB submits 3 Spark stages: the cell aggregation and exact BC") {
-    assert(stagesSubmitted(Experiments.runSB(spark, seed = 0)) === 3)
+  test("runSB submits 2 Spark stages: the cell aggregation and exact BC") {
+    assert(stagesSubmitted(Experiments.runSB(spark, seed = 0)) === 2)
   }
 
   test("runSB pins the SB comparison on seed 0") {
@@ -90,8 +90,8 @@ class ExperimentsSpec extends SparkSpec {
     assert((stats.cardMin, stats.cardMax) === ((0L, 3L)))
   }
 
-  test("datasetStats is one aggregation: 2 Spark stages") {
+  test("datasetStats is one aggregation: 1 Spark stage") {
     val lake = statsLake
-    assert(stagesSubmitted(Experiments.datasetStats("tiny", lake, Set("H", "SOLO"), Map.empty)) === 2)
+    assert(stagesSubmitted(Experiments.datasetStats("tiny", lake, Set("H", "SOLO"), Map.empty)) === 1)
   }
 }
