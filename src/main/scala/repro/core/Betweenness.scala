@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.stream.IntStream
 import org.apache.spark.sql.SparkSession
 
 /** Betweenness centrality (Brandes 2001) for the unweighted, undirected
@@ -33,14 +34,13 @@ import org.apache.spark.sql.SparkSession
   * `c(x) = (1 + δ(x)) / σ(x)`, where `c` is still 0 on the level above
   * `w`, so no distance test is needed.
   *
-  * Distribution strategy (per the reproduction's distributed-dataflow
-  * design): the graph topology is broadcast as a [[Csr]]; BFS sources are
-  * distributed over Spark partitions; each task accumulates a dense
-  * per-partition dependency vector. The driver collects the vectors and
-  * sums them in partition order, so it briefly holds one `numNodes` vector
-  * per partition (at most 4 × the default parallelism). This is the
-  * standard way to scale Brandes when the topology fits in memory but the
-  * O(n·m) work does not fit on one core.
+  * Threads. The graph is a [[Csr]] in the driver's memory, and Brandes
+  * runs there, with no Spark job: the BFS sources are split into
+  * `4 × cores` contiguous slices, which run on the JVM's `ForkJoinPool`,
+  * each into its own dense dependency vector. The vectors are summed in
+  * slice order, so the result depends on the slice count only, not on the
+  * thread count or on which slice finishes first. The driver holds at most
+  * `4 × cores` vectors of `numNodes` doubles, besides the graph.
   *
   * Approximation follows the source-sampling scheme the paper adopts from
   * Geisberger, Sanders & Schultes (ALENEX 2008): run Brandes from `s`
@@ -50,16 +50,17 @@ import org.apache.spark.sql.SparkSession
 object Betweenness {
 
   /** Exact BC for every node, from one BFS per value class and per
-    * attribute, split across the cluster.
+    * attribute, on the driver's threads; `spark` is not used.
     */
   def exact(spark: SparkSession, csr: Csr, normalized: Boolean = false): Array[Double] = {
     val (sources, weights) = exactSources(csr)
-    val scores = compute(spark, csr, sources, weights, scale = 1.0, defaultSlices(spark, sources.length))
+    val scores = compute(csr, sources, weights, scale = 1.0, defaultSlices(sources.length))
     if (normalized) normalize(scores) else scores
   }
 
   /** Approximate BC via `numSamples` uniformly sampled BFS sources
-    * (without replacement), scaled by `n / numSamples`.
+    * (without replacement), scaled by `n / numSamples`, on the driver's
+    * threads; `spark` is not used.
     */
   def approximate(
       spark: SparkSession,
@@ -72,7 +73,7 @@ object Betweenness {
     if (numSamples >= n) return exact(spark, csr, normalized)
     val sources = sampledSources(n, numSamples, seed)
     val weights = Array.fill(numSamples)(1)
-    val scores = compute(spark, csr, sources, weights, scale = n.toDouble / numSamples, defaultSlices(spark, numSamples))
+    val scores = compute(csr, sources, weights, scale = n.toDouble / numSamples, defaultSlices(numSamples))
     if (normalized) normalize(scores) else scores
   }
 
@@ -111,8 +112,9 @@ object Betweenness {
     java.util.Arrays.copyOf(idx, numSamples)
   }
 
-  private def defaultSlices(spark: SparkSession, numSources: Int): Int =
-    math.max(1, math.min(numSources, spark.sparkContext.defaultParallelism * 4))
+  /** Four slices per core, so a slow slice does not leave cores idle. */
+  private def defaultSlices(numSources: Int): Int =
+    math.max(1, math.min(numSources, 4 * Runtime.getRuntime.availableProcessors))
 
   private[core] def normalize(scores: Array[Double]): Array[Double] = {
     val n = scores.length
@@ -120,14 +122,16 @@ object Betweenness {
     if (denom <= 0) scores else scores.map(_ / denom)
   }
 
-  /** Brandes from every source in `sources`, split into `slices` Spark
-    * partitions. Source `sources(i)` stands for `weights(i)` sources: its
-    * dependencies count `weights(i)` times, and an attribute source also
-    * adds its folded leaves' dependencies on itself (`weights(i) − 1`
-    * leaves). The sum is scaled by `scale`.
+  /** Brandes from every source in `sources`, split into `slices` slices:
+    * slice `p` runs sources `[p·S/slices, (p+1)·S/slices)`, with
+    * `S = sources.length`, into its own dense vector, on the threads of
+    * the calling `ForkJoinPool` (the common pool outside one). Source
+    * `sources(i)` stands for `weights(i)` sources: its dependencies count
+    * `weights(i)` times, and an attribute source also adds its folded
+    * leaves' dependencies on itself (`weights(i) − 1` leaves). The sum is
+    * scaled by `scale`.
     */
   private[core] def compute(
-      spark: SparkSession,
       csr: Csr,
       sources: Array[Int],
       weights: Array[Int],
@@ -135,21 +139,17 @@ object Betweenness {
       slices: Int): Array[Double] = {
     require(sources.length == weights.length, "one weight per source")
     val n = csr.numNodes
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(csr)
-    val partial = sc
-      .parallelize(sources.toIndexedSeq.zip(weights), slices)
-      .mapPartitions { srcIt =>
-        val g = bc.value
-        val acc = new Array[Double](g.numNodes)
-        val state = new BrandesState(g)
-        srcIt.foreach { case (s, w) => brandesFrom(g, s, w, state, acc) }
-        Iterator.single(acc)
-      }
-      .collect()
-    bc.destroy()
-    // Summed in partition order, not task-completion order, so a run is
-    // reproducible bit for bit.
+    val numSources = sources.length.toLong
+    val partial = IntStream.range(0, slices).parallel().mapToObj[Array[Double]] { p =>
+      val acc = new Array[Double](n)
+      val state = new BrandesState(csr)
+      var i = (p * numSources / slices).toInt
+      val end = ((p + 1) * numSources / slices).toInt
+      while (i < end) { brandesFrom(csr, sources(i), weights(i), state, acc); i += 1 }
+      acc
+    }.toArray[Array[Double]](new Array[Array[Double]](_))
+    // Summed in slice order, not completion order, so the bits depend on
+    // the slice count only.
     val summed = new Array[Double](n)
     partial.foreach { acc =>
       var i = 0
@@ -162,7 +162,7 @@ object Betweenness {
     summed
   }
 
-  /** Reusable per-task scratch space for Brandes' algorithm. `dist` is
+  /** Reusable per-slice scratch space for Brandes' algorithm. `dist` is
     * -1 and `sigma` and `coeff` are 0 on every node between sources.
     */
   private final class BrandesState(g: Csr) {

@@ -5,16 +5,16 @@ package repro.core
   * Node ids follow [[LakeGraph]]: values in `[0, numValues)`, attributes in
   * `[numValues, n)`. The CSR is symmetric (each bipartite edge appears in
   * both endpoints' adjacency lists) so BFS-based kernels need no special
-  * casing. Compact enough to broadcast: the paper's largest graph (NYC-EDU,
-  * 1.5M nodes / 2.3M edges) is ~28 MB in this form.
+  * casing. It lives in the driver's memory, where the centrality kernels
+  * read it: the paper's largest graph (NYC-EDU, 1.5M nodes / 2.3M edges) is
+  * ~28 MB in this form.
   *
   * @param offsets   length `n + 1`; node v's neighbours are
   *                  `neighbors[offsets(v) until offsets(v+1))`
   * @param neighbors flattened adjacency lists, each sorted ascending
   * @param numValues number of value nodes (prefix of the id space)
   */
-final case class Csr(offsets: Array[Int], neighbors: Array[Int], numValues: Int)
-    extends Serializable {
+final case class Csr(offsets: Array[Int], neighbors: Array[Int], numValues: Int) {
 
   def numNodes: Int = offsets.length - 1
 
@@ -66,8 +66,8 @@ object Csr {
 object BipartiteGraph {
 
   /** The graph's adjacency. [[LakeGraph.build]] builds it on the driver,
-    * where [[Betweenness]] broadcasts it and parallelises over BFS sources
-    * with Spark, and [[Lcc]] reads it directly.
+    * where [[Betweenness]] runs its BFS sources on driver threads and
+    * [[Lcc]] reads it directly.
     */
   def toCsr(g: LakeGraph): Csr = g.csr
 }

@@ -77,10 +77,8 @@ object CellCounts {
     require(!attrs.contains(null), "every lake cell with a non-empty value needs a non-null attribute id")
     val valueNames = values.distinct.sorted(LakeGraph.Utf8Order)
     val attrNames = attrs.distinct.sorted(LakeGraph.Utf8Order)
-    val valueId = valueNames.iterator.zipWithIndex.toMap
-    val attrId = attrNames.iterator.zipWithIndex.toMap
-    val v = values.map(valueId)
-    val a = attrs.map(attrId)
+    val v = ids(valueNames, values)
+    val a = ids(attrNames, attrs)
     // LSD radix sort: stable by attribute, then stable by value.
     val order = countingOrder(v, valueNames.length, countingOrder(a, attrNames.length, Array.range(0, values.length)))
     // A pair that straddles partitions has one partial per partition: sum each run.
@@ -95,6 +93,14 @@ object CellCounts {
       sum
     }
     new CellCounts(valueNames, attrNames, runStart.map(k => v(order(k))), runStart.map(k => a(order(k))), occurrences)
+  }
+
+  /** The index in `names` of every entry of `keys`. */
+  private def ids(names: Array[String], keys: Array[String]): Array[Int] = {
+    val id = new java.util.HashMap[String, Integer]((names.length / 0.75).toInt + 1)
+    var i = 0
+    while (i < names.length) { id.put(names(i), i); i += 1 }
+    keys.map(id.get(_).intValue)
   }
 
   /** `rows` stably reordered by `key(row)`, a key in `[0, numKeys)`. */

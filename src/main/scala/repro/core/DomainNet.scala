@@ -33,7 +33,10 @@ object DomainNet {
     def topK(k: Int): Seq[String] = order.iterator.take(k).map(graph.valueNames(_)).toSeq
   }
 
-  /** Build the graph and score every value node with `measure`. */
+  /** Build the graph and score every value node with `measure`. Only the
+    * cell count ([[CellCounts.of]]) is a Spark job, on the lake's own
+    * session; `spark` is not used.
+    */
   def run(spark: SparkSession, lake: DataLake, measure: Measure): Result = {
     val graph = LakeGraph.build(lake)
     score(spark, graph, graph.csr, measure)
@@ -41,7 +44,7 @@ object DomainNet {
 
   /** Score a pre-built graph (lets callers reuse one graph for several
     * measures, as the experiments do). `csr` is the graph's adjacency,
-    * [[LakeGraph.csr]].
+    * [[LakeGraph.csr]]. Scoring runs on the driver; `spark` is not used.
     */
   def score(spark: SparkSession, graph: LakeGraph, csr: Csr, measure: Measure): Result = {
     val (rawScores, ascending) = measure match {
@@ -49,11 +52,12 @@ object DomainNet {
       case ApproxBC(s, seed)  => (Betweenness.approximate(spark, csr, s, seed, normalized = true), false)
       case LCC                => (Lcc.compute(spark, csr), true)
     }
-    // BC sums per-source dependencies in partition order, so one run is
-    // reproducible, but the partitioning follows the default parallelism
-    // and a different split rounds differently. Round that float noise away
-    // (all scores here are normalized to [0, 1]) so that genuinely tied
-    // nodes always fall back to the valueId tie-break.
+    // BC sums per-source dependencies in slice order, so one run is
+    // reproducible, but the slice count follows the core count and a
+    // different split rounds differently. Round that float noise away (all
+    // scores here are normalized to [0, 1]) so that genuinely tied nodes
+    // always fall back to the valueId tie-break; perfbench's reference
+    // ranking rounds the same way.
     val score = Array.tabulate(csr.numValues)(i => math.rint(rawScores(i) * 1e9) / 1e9)
     Result(graph, score, rank(score, ascending))
   }

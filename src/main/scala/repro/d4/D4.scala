@@ -67,6 +67,10 @@ object D4 {
       if (domainsPerValue.isEmpty) 0.0 else domainsPerValue.values.sum.toDouble / domainsPerValue.size
   }
 
+  /** D4 over the lake: one cell count ([[repro.core.CellCounts.of]], on the
+    * lake's own session), then [[discover]] on the driver; `spark` is not
+    * used.
+    */
   def run(spark: SparkSession, lake: DataLake, config: Config = Config()): Result =
     discover(CellCounts.of(lake), config)
 

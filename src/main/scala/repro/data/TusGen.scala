@@ -89,14 +89,17 @@ object TusGen {
       valueDomains.iterator.collect { case (v, ds) if ds.size >= 2 => v }.toSet
 
     /** Materialize as a Spark DataLake. Cells are emitted twice (see class
-      * doc) so values survive the singleton-pruning preprocessing.
+      * doc) so values survive the singleton-pruning preprocessing. Tasks
+      * carry column indices only; the columns' values are read from one
+      * broadcast. Each column's cells stay in one partition.
       */
     def toLake(spark: SparkSession): DataLake = {
       import spark.implicits._
       val sc = spark.sparkContext
-      val colRdd = sc.parallelize(columns, math.max(1, math.min(columns.size, sc.defaultParallelism * 4)))
-      val cells = colRdd.flatMap { c =>
-        c.values.iterator.flatMap(v => Iterator((c.attribute, v), (c.attribute, v)))
+      val cols = sc.broadcast(columns.map(c => (c.attribute, c.values)))
+      val cells = sc.parallelize(columns.indices, math.max(1, math.min(columns.size, sc.defaultParallelism * 4))).flatMap { i =>
+        val (attribute, values) = cols.value(i)
+        values.iterator.flatMap(v => Iterator((attribute, v), (attribute, v)))
       }
       DataLake.fromCells(cells.toDF("attribute", "value"), numTables)
     }

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import repro.SparkSpec
 import GraphFixtures._
 
@@ -111,10 +112,30 @@ class BetweennessSpec extends SparkSpec {
     assert(bits(exact(csr)) === bits(exact(csr)))
   }
 
+  test("exact BC is bit-identical on the common pool and in pools of 1 and 3 threads") {
+    val csr = disjointUnion(pooledCsr(300, 25, numSets = 30, leafFrac = 0.3, isolated = 3, seed = 37), randomCsr(60, 8, seed = 38))
+    def bits(a: Array[Double]) = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+    // a parallel stream started from a pool's task runs in that pool
+    def inPool(threads: Int): Array[Double] = {
+      val pool = new ForkJoinPool(threads)
+      try pool.submit(new Callable[Array[Double]] { def call() = exact(csr) }).get()
+      finally pool.shutdown()
+    }
+    val common = bits(exact(csr))
+    assert(bits(inPool(1)) === common)
+    assert(bits(inPool(3)) === common)
+  }
+
+  test("exact and approximate BC submit no Spark stage") {
+    val csr = randomCsr(numValues = 60, numAttrs = 12, seed = 41)
+    assert(stagesSubmitted(exact(csr)) === 0)
+    assert(stagesSubmitted(Betweenness.approximate(spark, csr, numSamples = 20, seed = 7)) === 0)
+  }
+
   test("exact BC over many slices is within 1e-12 (relative) of a 1-slice computation") {
     val csr = randomCsr(numValues = 120, numAttrs = 15, seed = 29)
     val (sources, weights) = Betweenness.exactSources(csr)
-    val oneSlice = Betweenness.compute(spark, csr, sources, weights, scale = 1.0, slices = 1)
+    val oneSlice = Betweenness.compute(csr, sources, weights, scale = 1.0, slices = 1)
     val got = exact(csr)
     assert(got.zip(oneSlice).forall { case (x, y) => math.abs(x - y) <= 1e-12 * math.max(1.0, math.abs(y)) })
   }
@@ -132,7 +153,7 @@ class BetweennessSpec extends SparkSpec {
     val n = csr.numNodes
     // as DomainNet.score ranks: normalized, rounded to 1e-9, value nodes only
     def ranking(sources: Array[Int], weights: Array[Int], scale: Double, slices: Int): Seq[Int] = {
-      val bc = Betweenness.normalize(Betweenness.compute(spark, csr, sources, weights, scale, slices))
+      val bc = Betweenness.normalize(Betweenness.compute(csr, sources, weights, scale, slices))
       DomainNet.rank(Array.tabulate(csr.numValues)(i => math.rint(bc(i) * 1e9) / 1e9), ascending = false).toSeq
     }
     val (exactSrc, exactW) = Betweenness.exactSources(csr)

@@ -65,9 +65,9 @@ class DomainNetSpec extends SparkSpec {
     }
   }
 
-  test("run with exact BC submits 2 Spark stages: the cell aggregation and BC") {
+  test("run with exact BC submits 1 Spark stage: the cell aggregation") {
     val l = lake
-    assert(stagesSubmitted(DomainNet.run(spark, l, DomainNet.ExactBC)) === 2)
+    assert(stagesSubmitted(DomainNet.run(spark, l, DomainNet.ExactBC)) === 1)
   }
 
   test("run with LCC submits 1 Spark stage: the cell aggregation") {

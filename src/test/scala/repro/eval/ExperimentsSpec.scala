@@ -14,8 +14,8 @@ class ExperimentsSpec extends SparkSpec {
     assert(pct >= 60.0, s"found only $pct%")
   }
 
-  test("runSB submits 2 Spark stages: the cell aggregation and exact BC") {
-    assert(stagesSubmitted(Experiments.runSB(spark, seed = 0)) === 2)
+  test("runSB submits 1 Spark stage: the cell aggregation") {
+    assert(stagesSubmitted(Experiments.runSB(spark, seed = 0)) === 1)
   }
 
   test("runSB pins the SB comparison on seed 0") {
