@@ -28,11 +28,14 @@ import org.apache.spark.sql.SparkSession
   * level. The forward pass is direction-optimizing (Beamer, Asanović &
   * Patterson, SC 2012): a level expands top-down from the frontier, or,
   * when the frontier's adjacency exceeds that of the unvisited nodes on
-  * the next side, bottom-up: every unvisited node sums the path counts of
-  * its neighbours, which are 0 off the frontier. The dependency pass
-  * pulls: in reverse BFS order `δ(w) = σ(w) · Σ_{x∈N(w)} c(x)` with
-  * `c(x) = (1 + δ(x)) / σ(x)`, where `c` is still 0 on the level above
-  * `w`, so no distance test is needed.
+  * the next side, bottom-up: a scan of the next side's id range, in which
+  * every unvisited node sums the path counts of its neighbours, which are
+  * 0 off the frontier. The dependency pass pulls: in reverse BFS order
+  * `δ(w) = σ(w) · Σ_{x∈N(w)} c(x)` with `c(x) = (1 + δ(x)) / σ(x)`, where
+  * `c` is still 0 on the level above `w`, so no distance test is needed.
+  * Path counts are integer-valued sums, and each δ sums its own CSR row,
+  * so neither a level's direction nor the order of nodes within a level
+  * changes a bit of the result.
   *
   * Threads. The graph is a [[Csr]] in the driver's memory, and Brandes
   * runs there, with no Spark job: the BFS sources are split into
@@ -170,9 +173,6 @@ object Betweenness {
     val sigma = new Array[Double](g.numNodes)
     val coeff = new Array[Double](g.numNodes) // (1 + δ) / σ of finished nodes
     val order = new Array[Int](g.numNodes) // nodes in BFS visitation order
-    // unvisited nodes of each side, built on a BFS's first bottom-up step there
-    val unvisitedValues = new Array[Int](g.numValues)
-    val unvisitedAttrs = new Array[Int](g.numAttrs)
   }
 
   /** Single-source shortest-path counting + dependency accumulation.
@@ -195,8 +195,6 @@ object Betweenness {
     var attrEdgesLeft = g.numEdges.toLong
     var frontierEdges = (offsets(s + 1) - offsets(s)).toLong
     if (s < nv) valueEdgesLeft -= frontierEdges else attrEdgesLeft -= frontierEdges
-    var numUnvisitedValues = -1 // -1: list not built yet
-    var numUnvisitedAttrs = -1
     var levelStart = 0
     var levelEnd = 1
     var d = 0
@@ -223,24 +221,12 @@ object Betweenness {
           k += 1
         }
       } else {
-        val unvisited = if (nextIsValue) unvisitedValues else unvisitedAttrs
-        var len = if (nextIsValue) numUnvisitedValues else numUnvisitedAttrs
-        if (len < 0) {
-          len = 0
-          var u = if (nextIsValue) 0 else nv
-          val end = if (nextIsValue) nv else g.numNodes
-          while (u < end) {
-            if (dist(u) < 0) { unvisited(len) = u; len += 1 }
-            u += 1
-          }
-        }
-        // Keep the still-unvisited nodes in place, drop the rest. An
-        // unvisited node's visited neighbours all lie on the frontier, and
-        // its unvisited ones have σ = 0, so it sums σ over all neighbours.
-        var kept = 0
-        var j = 0
-        while (j < len) {
-          val u = unvisited(j)
+        // Scan the next side's ids. An unvisited node's visited neighbours
+        // all lie on the frontier, and its unvisited ones have σ = 0, so it
+        // sums σ over all neighbours.
+        var u = if (nextIsValue) 0 else nv
+        val sideEnd = if (nextIsValue) nv else g.numNodes
+        while (u < sideEnd) {
           if (dist(u) < 0) {
             var paths = 0.0
             var i = offsets(u)
@@ -251,13 +237,10 @@ object Betweenness {
               sigma(u) = paths
               order(tail) = u; tail += 1
               nextEdges += end - offsets(u)
-            } else {
-              unvisited(kept) = u; kept += 1
             }
           }
-          j += 1
+          u += 1
         }
-        if (nextIsValue) numUnvisitedValues = kept else numUnvisitedAttrs = kept
       }
       if (nextIsValue) valueEdgesLeft -= nextEdges else attrEdgesLeft -= nextEdges
       frontierEdges = nextEdges

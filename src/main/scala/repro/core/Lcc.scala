@@ -30,9 +30,11 @@ import org.apache.spark.sql.SparkSession
   *
   * where B ranges over classes sharing ≥1 attribute with A and J is the
   * attribute-set Jaccard. The graph is already on the driver, so LCC runs
-  * there: for each class a dense counter collects the attribute
-  * intersections with its co-classes by walking class → attribute → class
-  * on the classes' quotient graph.
+  * there, in one walk over the classes' quotient graph: for each class, a
+  * dense counter collects the attribute intersections with its co-classes
+  * (class → attribute → class), and one pass over the co-classes sums both
+  * the Jaccard terms and `Σ_B |B| − 1`, which is also |VN| of each member
+  * (Card(H)).
   */
 object Lcc {
 
@@ -41,23 +43,8 @@ object Lcc {
     */
   def compute(spark: SparkSession, csr: Csr): Array[Double] = {
     val classes = ValueClasses.of(csr)
-    val q = classes.quotient
-    val classLcc = new Array[Double](classes.numClasses)
-    foreachClass(classes) { (c, denom, touched, numTouched, inter) =>
-      if (denom > 0) {
-        var num = 0.0
-        var k = 0
-        while (k < numTouched) {
-          val b = touched(k)
-          val union = q.degree(c) + q.degree(b) - inter(b)
-          val weight = classes.size(b) - (if (b == c) 1 else 0)
-          if (weight > 0 && union > 0) num += weight.toDouble * inter(b) / union
-          k += 1
-        }
-        classLcc(c) = num / denom
-      }
-    }
-    Array.tabulate(csr.numValues)(u => classLcc(classes.classOf(u)))
+    val (lcc, _) = perClass(classes)
+    Array.tabulate(csr.numValues)(u => lcc(classes.classOf(u)))
   }
 
   /** |VN(v)| for every value node, indexed by valueId: the number of other
@@ -67,22 +54,21 @@ object Lcc {
     */
   def valueNeighbourCounts(csr: Csr): Array[Int] = {
     val classes = ValueClasses.of(csr)
-    val count = new Array[Int](classes.numClasses)
-    foreachClass(classes)((c, vn, _, _, _) => count(c) = vn)
-    Array.tabulate(csr.numValues)(u => count(classes.classOf(u)))
+    val (_, vn) = perClass(classes)
+    Array.tabulate(csr.numValues)(u => vn(classes.classOf(u)))
   }
 
-  /** Calls `f(c, vn, touched, numTouched, inter)` for every class `c`, in
-    * id order: `touched(0 until numTouched)` are the classes sharing at
-    * least one attribute with `c` (itself included), ascending, `inter(b)`
-    * is the number of attributes class `b` shares with `c`, and `vn` is
-    * |VN| of each member of `c` (the co-classes' sizes, less the member
-    * itself). The walk goes class → attribute → class on the quotient.
+  /** LCC and |VN| of each class's members, by class id. For class `c` the
+    * walk class → attribute → class on the quotient counts in `inter(b)`
+    * the attributes each co-class `b` shares with `c` (`c` included); the
+    * co-classes are then summed in ascending id, and `inter` is cleared as
+    * they are.
     */
-  private def foreachClass(classes: ValueClasses)(
-      f: (Int, Int, Array[Int], Int, Array[Int]) => Unit): Unit = {
+  private def perClass(classes: ValueClasses): (Array[Double], Array[Int]) = {
     val q = classes.quotient
     val nc = classes.numClasses
+    val lcc = new Array[Double](nc)
+    val vn = new Array[Int](nc)
     val inter = new Array[Int](nc)
     val touched = new Array[Int](nc)
     var c = 0
@@ -95,14 +81,22 @@ object Lcc {
         }
       }
       java.util.Arrays.sort(touched, 0, numTouched)
-      var vn = -1 // exclude the member itself
+      var others = -1 // exclude the member itself
+      var num = 0.0
       var k = 0
-      while (k < numTouched) { vn += classes.size(touched(k)); k += 1 }
-      f(c, math.max(0, vn), touched, numTouched, inter)
-      k = 0
-      while (k < numTouched) { inter(touched(k)) = 0; k += 1 }
+      while (k < numTouched) {
+        val b = touched(k)
+        others += classes.size(b)
+        val union = q.degree(c) + q.degree(b) - inter(b)
+        val weight = classes.size(b) - (if (b == c) 1 else 0)
+        if (weight > 0 && union > 0) num += weight.toDouble * inter(b) / union
+        inter(b) = 0
+        k += 1
+      }
+      if (others > 0) { vn(c) = others; lcc(c) = num / others }
       c += 1
     }
+    (lcc, vn)
   }
 
   /** Direct-from-definition reference implementation (tests only). */

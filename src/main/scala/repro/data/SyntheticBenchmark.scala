@@ -41,44 +41,35 @@ object SyntheticBenchmark {
   def generate(spark: SparkSession, seed: Long = 0L): SB = {
     val rnd = new scala.util.Random(seed)
 
-    // --- pools ---
-    var firstName = Vocab.pool("FNAME", 500)
-    var lastName  = Vocab.pool("LNAME", 500)
-    var city      = Vocab.pool("CITY", 400)
-    var country   = Vocab.pool("COUNTRY", 193)
-    val state     = Vocab.pool("STATE", 50)
-    var cCode     = Vocab.pool("CCODE", 193)
-    var sCode     = Vocab.pool("SCODE", 50)
-    var carBrand  = Vocab.pool("CARBRAND", 60)
-    val carModel  = Vocab.pool("CARMODEL", 300)
-    var animal    = Vocab.pool("ANIMAL", 250)
-    var zoo       = Vocab.pool("ZOO", 120)
-    var company   = Vocab.pool("COMPANY", 300)
-    var grocery   = Vocab.pool("GROCERY", 250)
-    var movie     = Vocab.pool("MOVIE", 400)
+    // --- pools, keyed by tag; the upper-cased tag prefixes each token ---
+    val pools = scala.collection.mutable.Map(Seq(
+      "fname" -> 500, "lname" -> 500, "city" -> 400, "country" -> 193, "state" -> 50,
+      "ccode" -> 193, "scode" -> 50, "carbrand" -> 60, "carmodel" -> 300, "animal" -> 250,
+      "zoo" -> 120, "company" -> 300, "grocery" -> 250, "movie" -> 400,
+    ).map { case (tag, n) => tag -> Vocab.pool(tag, n) }: _*)
 
     // --- plant the 55 homographs (each 2 meanings) ---
     val planted = Seq.newBuilder[String]
     val plantedInPool = scala.collection.mutable.Map.empty[String, List[String]].withDefaultValue(Nil)
-    def plant(a: IndexedSeq[String], b: IndexedSeq[String], n: Int, prefix: String,
-              aPool: String, bPool: String): (IndexedSeq[String], IndexedSeq[String]) = {
-      val (a2, b2, toks) = Vocab.plantHomographs(a, b, n, prefix, rnd.nextLong())
+    def plant(aTag: String, bTag: String, n: Int, prefix: String): Unit = {
+      val (a2, b2, toks) = Vocab.plantHomographs(pools(aTag), pools(bTag), n, prefix, rnd.nextLong())
+      pools(aTag) = a2
+      pools(bTag) = b2
       planted ++= toks
-      plantedInPool(aPool) = plantedInPool(aPool) ++ toks
-      plantedInPool(bPool) = plantedInPool(bPool) ++ toks
-      (a2, b2)
+      plantedInPool(aTag) = plantedInPool(aTag) ++ toks
+      plantedInPool(bTag) = plantedInPool(bTag) ++ toks
     }
 
     // 20 code abbreviations shared between the two small enumeration-only
     // domains (the paper's 17 country/state abbreviation homographs).
-    val (cc2, sc2) = plant(cCode, sCode, 20, "HOMCODE", "ccode", "scode"); cCode = cc2; sCode = sc2
-    val (ci2, fn2) = plant(city, firstName, 8, "HOMCITYNAME", "city", "fname"); city = ci2; firstName = fn2
-    val (ci3, cb2) = plant(city, carBrand, 4, "HOMCITYCAR", "city", "carbrand"); city = ci3; carBrand = cb2
-    val (an2, co2) = plant(animal, company, 6, "HOMANIMALCO", "animal", "company"); animal = an2; company = co2
-    val (gr2, mo2) = plant(grocery, movie, 6, "HOMGROCMOVIE", "grocery", "movie"); grocery = gr2; movie = mo2
-    val (cn2, ci4) = plant(country, city, 5, "HOMCOUNTRYCITY", "country", "city"); country = cn2; city = ci4
-    val (an3, zo2) = plant(animal, zoo, 3, "HOMANIMALZOO", "animal", "zoo"); animal = an3; zoo = zo2
-    val (co3, cb3) = plant(company, carBrand, 3, "HOMCOCAR", "company", "carbrand"); company = co3; carBrand = cb3
+    plant("ccode", "scode", 20, "HOMCODE")
+    plant("city", "fname", 8, "HOMCITYNAME")
+    plant("city", "carbrand", 4, "HOMCITYCAR")
+    plant("animal", "company", 6, "HOMANIMALCO")
+    plant("grocery", "movie", 6, "HOMGROCMOVIE")
+    plant("country", "city", 5, "HOMCOUNTRYCITY")
+    plant("animal", "zoo", 3, "HOMANIMALZOO")
+    plant("company", "carbrand", 3, "HOMCOCAR")
 
     val homographs = planted.result()
     require(homographs.size == NumHomographs, s"planted ${homographs.size} != $NumHomographs")
@@ -88,14 +79,11 @@ object SyntheticBenchmark {
     // A column takes a `card`-sized random subset of its pool (always
     // including the pool's planted homographs so ground truth is exact),
     // then 1000 rows in which every subset value occurs at least twice.
-    def subset(pool: IndexedSeq[String], poolTag: String, card: Int): IndexedSeq[String] = {
-      val forced = plantedInPool(poolTag).filter(pool.contains)
+    def column(tag: String, card: Int): IndexedSeq[String] = {
+      val pool = pools(tag)
+      val forced = plantedInPool(tag).filter(pool.contains)
       val rest = rnd.shuffle(pool.filterNot(forced.contains).toList)
-      (forced ++ rest.take(math.max(0, card - forced.size))).toIndexedSeq
-    }
-
-    def column(pool: IndexedSeq[String], poolTag: String, card: Int): IndexedSeq[String] = {
-      val sub = subset(pool, poolTag, card)
+      val sub = (forced ++ rest.take(math.max(0, card - forced.size))).toIndexedSeq
       val base = rnd.shuffle(sub ++ sub) // every value at least twice
       val extra = IndexedSeq.fill(Rows - base.size)(sub(rnd.nextInt(sub.size)))
       (base ++ extra).take(Rows)
@@ -109,41 +97,41 @@ object SyntheticBenchmark {
       c1.indices.map(i => (c1(i), c2(i), c3(i))).toDF(n1, n2, n3)
 
     val tables: Seq[(String, DataFrame)] = Seq(
-      "people" -> table3("first_name", column(firstName, "fname", 400),
-                         "last_name", column(lastName, "lname", 400),
-                         "city", column(city, "city", 300)),
-      "contacts" -> table3("first_name", column(firstName, "fname", 150),
-                           "last_name", column(lastName, "lname", 150),
-                           "company", column(company, "company", 120)),
-      "zoo_animals" -> table3("animal", column(animal, "animal", 200),
-                              "zoo", column(zoo, "zoo", 100),
-                              "city", column(city, "city", 40)),
-      "donors" -> table2("company", column(company, "company", 250),
-                         "animal", column(animal, "animal", 60)),
-      "cars" -> table3("car_model", column(carModel, "carmodel", 250),
-                       "car_brand", column(carBrand, "carbrand", 55),
-                       "country", column(country, "country", 80)),
-      "car_sales" -> table3("car_brand", column(carBrand, "carbrand", 40),
-                            "city", column(city, "city", 150),
-                            "car_model", column(carModel, "carmodel", 100)),
-      "offices" -> table3("company", column(company, "company", 200),
-                          "city", column(city, "city", 60),
-                          "country", column(country, "country", 150)),
-      "movies" -> table3("movie", column(movie, "movie", 350),
-                         "director", column(firstName, "fname", 60),
-                         "studio", column(company, "company", 40)),
-      "groceries" -> table2("grocery", column(grocery, "grocery", 220),
-                            "brand", column(company, "company", 90)),
-      "employees" -> table3("first_name", column(firstName, "fname", 300),
-                            "last_name", column(lastName, "lname", 300),
-                            "company", column(company, "company", 250)),
-      "shipping" -> table3("city", column(city, "city", 250),
-                           "country", column(country, "country", 180),
-                           "grocery", column(grocery, "grocery", 50)),
+      "people" -> table3("first_name", column("fname", 400),
+                         "last_name", column("lname", 400),
+                         "city", column("city", 300)),
+      "contacts" -> table3("first_name", column("fname", 150),
+                           "last_name", column("lname", 150),
+                           "company", column("company", 120)),
+      "zoo_animals" -> table3("animal", column("animal", 200),
+                              "zoo", column("zoo", 100),
+                              "city", column("city", 40)),
+      "donors" -> table2("company", column("company", 250),
+                         "animal", column("animal", 60)),
+      "cars" -> table3("car_model", column("carmodel", 250),
+                       "car_brand", column("carbrand", 55),
+                       "country", column("country", 80)),
+      "car_sales" -> table3("car_brand", column("carbrand", 40),
+                            "city", column("city", 150),
+                            "car_model", column("carmodel", 100)),
+      "offices" -> table3("company", column("company", 200),
+                          "city", column("city", 60),
+                          "country", column("country", 150)),
+      "movies" -> table3("movie", column("movie", 350),
+                         "director", column("fname", 60),
+                         "studio", column("company", 40)),
+      "groceries" -> table2("grocery", column("grocery", 220),
+                            "brand", column("company", 90)),
+      "employees" -> table3("first_name", column("fname", 300),
+                            "last_name", column("lname", 300),
+                            "company", column("company", 250)),
+      "shipping" -> table3("city", column("city", 250),
+                           "country", column("country", 180),
+                           "grocery", column("grocery", 50)),
       // the two small enumeration tables; the *only* columns containing
       // country/state codes, mirroring the paper's SB
-      "countries" -> table2("country", country, "country_code", cCode),
-      "states" -> table2("state", state, "state_code", sCode),
+      "countries" -> table2("country", pools("country"), "country_code", pools("ccode")),
+      "states" -> table2("state", pools("state"), "state_code", pools("scode")),
     )
 
     SB(tables, DataLake.fromTables(tables), homographs.toSet, codeHomographs)

@@ -34,17 +34,4 @@ object Vocab {
     val b2 = bSlots.zip(toks).foldLeft(b) { case (acc, (s, t)) => acc.updated(s, t) }
     (a2, b2, toks)
   }
-
-  /** Sample `rows` values from a pool: a shuffled pass over the whole pool
-    * first (guaranteeing every token appears when `rows >= pool size`),
-    * then uniform draws. Deterministic in `seed`.
-    */
-  def sampleColumn(pool: IndexedSeq[String], rows: Int, seed: Long): IndexedSeq[String] = {
-    val rnd = new scala.util.Random(seed)
-    val perm = rnd.shuffle(pool.indices.toList)
-    (0 until rows).map { i =>
-      if (i < pool.size) pool(perm(i))
-      else pool(rnd.nextInt(pool.size))
-    }
-  }
 }

@@ -4,7 +4,6 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted}
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
@@ -15,10 +14,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 
   /** Number of Spark stages submitted by jobs that `body` starts. Stages
     * are matched through a local property set on this thread, so jobs of

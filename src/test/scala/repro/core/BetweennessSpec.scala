@@ -40,19 +40,11 @@ class BetweennessSpec extends SparkSpec {
     assert(exact(csr).forall(_ === 0.0))
   }
 
-  // Exact BC runs one BFS per class and folds leaves into their attribute,
-  // so the inputs cover duplicate attribute sets, leaves, attributes of
-  // leaves only, isolated values and several components.
+  // Exact BC runs one BFS per class and folds leaves into their attribute;
+  // the class-heavy inputs exercise both.
   private val referenceInputs: Seq[(String, Csr)] =
     (1 to 12).map(seed => s"random graph, seed=$seed" -> randomCsr(numValues = 4 + seed, numAttrs = 2 + seed % 5, seed = seed)) ++
-      (1 to 3).map(seed => s"duplicate attribute sets, seed=$seed" -> pooledCsr(30, 6, numSets = 4, leafFrac = 0.0, isolated = 0, seed)) ++
-      (1 to 3).map(seed => s"degree-1 values on several attributes, seed=$seed" -> pooledCsr(30, 6, numSets = 6, leafFrac = 0.4, isolated = 0, seed)) ++
-      Seq(
-        "an attribute holding only leaves" -> csrOf(8, Seq(Seq(0, 1, 2), Seq(3, 4, 5), Seq(4, 5, 6, 7), Seq(7))),
-        "isolated values" -> pooledCsr(25, 5, numSets = 3, leafFrac = 0.3, isolated = 4, seed = 4),
-        "two components" -> disjointUnion(pooledCsr(20, 4, 3, 0.3, 0, seed = 5), pooledCsr(15, 4, 2, 0.3, 0, seed = 6)),
-        "three components, one a star of leaves" ->
-          disjointUnion(disjointUnion(pooledCsr(20, 5, 4, 0.5, 2, seed = 7), csrOf(4, Seq(0 until 4))), randomCsr(9, 3, seed = 8)))
+      classHeavyInputs
 
   for ((name, csr) <- referenceInputs)
     test(s"exact BC matches the independent path-counting reference ($name)") {

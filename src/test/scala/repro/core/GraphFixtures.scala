@@ -90,6 +90,21 @@ object GraphFixtures {
       edges(a, 0, nv) ++ edges(b, a.numValues, nv + a.numAttrs))
   }
 
+  /** Graphs whose values fall into few classes ([[ValueClasses]]): they
+    * cover duplicate attribute sets, leaves, attributes of leaves only,
+    * isolated values and several components, the cases that exact BC's
+    * class and leaf folding and LCC's class factoring treat apart.
+    */
+  val classHeavyInputs: Seq[(String, Csr)] =
+    (1 to 3).map(seed => s"duplicate attribute sets, seed=$seed" -> pooledCsr(30, 6, numSets = 4, leafFrac = 0.0, isolated = 0, seed)) ++
+      (1 to 3).map(seed => s"degree-1 values on several attributes, seed=$seed" -> pooledCsr(30, 6, numSets = 6, leafFrac = 0.4, isolated = 0, seed)) ++
+      Seq(
+        "an attribute holding only leaves" -> csrOf(8, Seq(Seq(0, 1, 2), Seq(3, 4, 5), Seq(4, 5, 6, 7), Seq(7))),
+        "isolated values" -> pooledCsr(25, 5, numSets = 3, leafFrac = 0.3, isolated = 4, seed = 4),
+        "two components" -> disjointUnion(pooledCsr(20, 4, 3, 0.3, 0, seed = 5), pooledCsr(15, 4, 2, 0.3, 0, seed = 6)),
+        "three components, one a star of leaves" ->
+          disjointUnion(disjointUnion(pooledCsr(20, 5, 4, 0.5, 2, seed = 7), csrOf(4, Seq(0 until 4))), randomCsr(9, 3, seed = 8)))
+
   def maxAbsDiff(a: Array[Double], b: Array[Double]): Double =
     a.zip(b).map { case (x, y) => math.abs(x - y) }.max
 }

@@ -36,6 +36,20 @@ class LccSpec extends SparkSpec {
       assert(maxAbsDiff(got, ref) < 1e-12, s"seed=$seed")
     }
 
+  /** |VN(u)| from the definition: the other values sharing an attribute with u. */
+  private def valueNeighbourCountsByDefinition(csr: Csr): Array[Int] =
+    Array.tabulate(csr.numValues) { u =>
+      val vn = scala.collection.mutable.Set.empty[Int]
+      csr.foreachNeighbor(u)(a => csr.foreachNeighbor(a)(vn += _))
+      (vn - u).size
+    }
+
+  for ((name, csr) <- classHeavyInputs)
+    test(s"class-factored LCC and |VN| match brute force ($name)") {
+      assert(maxAbsDiff(Lcc.compute(spark, csr), Lcc.bruteForce(csr)) < 1e-12, name)
+      assert(Lcc.valueNeighbourCounts(csr).toSeq === valueNeighbourCountsByDefinition(csr).toSeq, name)
+    }
+
   for (nAttrs <- 1 to 4)
     test(s"LCC bounds hold on random graph with $nAttrs attributes") {
       val csr = randomCsr(numValues = 12, numAttrs = nAttrs, seed = 500 + nAttrs)

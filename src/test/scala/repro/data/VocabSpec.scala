@@ -41,20 +41,4 @@ class VocabSpec extends AnyFunSuite {
       Vocab.plantHomographs(Vocab.pool("a", 3), Vocab.pool("b", 10), 5, "h", 1)
     }
   }
-
-  test("sampleColumn covers the whole pool when rows >= pool size") {
-    val p = Vocab.pool("x", 20)
-    val col = Vocab.sampleColumn(p, 50, seed = 4)
-    assert(col.size === 50)
-    assert(col.toSet === p.toSet)
-  }
-
-  test("sampleColumn only draws from the pool and is deterministic") {
-    val p = Vocab.pool("x", 200)
-    val c1 = Vocab.sampleColumn(p, 40, seed = 5)
-    val c2 = Vocab.sampleColumn(p, 40, seed = 5)
-    assert(c1 === c2)
-    assert(c1.toSet.subsetOf(p.toSet))
-    assert(c1.distinct.size === 40) // first pass is a permutation prefix
-  }
 }
