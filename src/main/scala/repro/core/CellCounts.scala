@@ -1,6 +1,8 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
 import scala.collection.mutable
+import org.apache.spark.unsafe.types.UTF8String
 import repro.lake.DataLake
 
 /** The lake's normalized cells, aggregated once: how often each value
@@ -8,8 +10,8 @@ import repro.lake.DataLake
   * job; the graph ([[LakeGraph.of]]), D4 (`repro.d4.D4.discover`) and the
   * dataset statistics are driver functions of it.
   *
-  * Values and attributes get ids in Spark's string order
-  * ([[LakeGraph.Utf8Order]]); values that occur only once are included.
+  * Values and attributes get ids in Spark's string order, unsigned UTF-8
+  * bytes; values that occur only once are included.
   * Pair `i` is value `valueIds(i)` in attribute `attrIds(i)`, seen
   * `occurrences(i)` times. Pairs are sorted by (value id, attribute id), so
   * each value's pairs form one contiguous run.
@@ -44,43 +46,61 @@ final class CellCounts private (
 object CellCounts {
 
   /** Counts the normalized cells in one map-only Spark stage: each
-    * partition counts its own (value, attribute) pairs, and the partial
-    * counts are collected. The driver gives ids, sorts the partials by
-    * (value id, attribute id) and sums each run of equal pairs, so the
-    * result does not depend on how the cells are partitioned.
+    * partition counts its own (value, attribute) pairs over the cells'
+    * UTF-8 bytes, and the partial counts are collected. The driver merges
+    * the partitions' names into ids, sorts the partials by (value id,
+    * attribute id) and sums each run of equal pairs, so the result does not
+    * depend on how the cells are partitioned.
     *
-    * The driver holds, per partition, that partition's distinct pairs: at
-    * most min(cells, partitions × distinct pairs) strings and counts. This
-    * is the number of distinct pairs when no pair straddles partitions, as
-    * in `repro.data.TusGen`'s lakes, which keep each column in one
-    * partition. `spark.driver.maxResultSize` bounds the collect.
+    * A partition gives its distinct values and attributes local ids, sorts
+    * each dictionary in Spark's order (`UTF8String.compareTo`, unsigned
+    * bytes) and ships it as byte arrays, with its pairs as int local ids
+    * and counts. The driver holds, per partition, that partition's
+    * dictionaries and distinct pairs: at most min(cells, partitions ×
+    * distinct pairs) int pairs and counts. This is the number of distinct
+    * pairs when no pair straddles partitions, as in `repro.data.TusGen`'s
+    * lakes, which keep each column in one partition.
+    * `spark.driver.maxResultSize` bounds the collect.
+    *
+    * The stage reads [[DataLake.normalizedCells]] through
+    * `queryExecution.toRdd`, a Spark developer API, so the lake's query is
+    * planned once and every call only scans and counts. The plan is fixed
+    * at the lake's first use (see [[DataLake.normalizedCells]]).
     *
     * Every cell with a non-empty value needs a non-null attribute id.
     */
   def of(lake: DataLake): CellCounts = {
-    val partials = LakeGraph.normalizedCells(lake).rdd.mapPartitions { rows =>
-      val counts = mutable.HashMap.empty[(String, String), Long]
+    val partials = lake.normalizedCells.queryExecution.toRdd.mapPartitions { rows =>
+      val values = new Dictionary
+      val attrs = new Dictionary
+      val counts = mutable.LongMap.empty[Long]
+      var nullAttr = false
       rows.foreach { r =>
-        val pair = (r.getString(1), r.getString(0))
-        counts.update(pair, counts.getOrElse(pair, 0L) + 1)
+        if (r.isNullAt(0)) nullAttr = true
+        else {
+          val pair = values.id(r.getUTF8String(1)).toLong << 32 | attrs.id(r.getUTF8String(0))
+          counts.update(pair, counts.getOrElse(pair, 0L) + 1)
+        }
       }
-      val values = new Array[String](counts.size)
-      val attrs = new Array[String](counts.size)
+      val (valueNames, valueRank) = values.sorted
+      val (attrNames, attrRank) = attrs.sorted
+      val valueIds = new Array[Int](counts.size)
+      val attrIds = new Array[Int](counts.size)
       val occ = new Array[Long](counts.size)
       var i = 0
-      counts.foreach { case ((v, a), n) => values(i) = v; attrs(i) = a; occ(i) = n; i += 1 }
-      Iterator.single((values, attrs, occ))
+      counts.foreach { case (pair, n) =>
+        valueIds(i) = valueRank((pair >>> 32).toInt); attrIds(i) = attrRank(pair.toInt); occ(i) = n; i += 1
+      }
+      Iterator.single(Partial(valueNames, attrNames, valueIds, attrIds, occ, nullAttr))
     }.collect()
-    val values = partials.flatMap(_._1)
-    val attrs = partials.flatMap(_._2)
-    val occ = partials.flatMap(_._3)
-    require(!attrs.contains(null), "every lake cell with a non-empty value needs a non-null attribute id")
-    val valueNames = values.distinct.sorted(LakeGraph.Utf8Order)
-    val attrNames = attrs.distinct.sorted(LakeGraph.Utf8Order)
-    val v = ids(valueNames, values)
-    val a = ids(attrNames, attrs)
+    require(!partials.exists(_.nullAttr), "every lake cell with a non-empty value needs a non-null attribute id")
+    val (valueNames, valueId) = merge(partials.map(_.valueNames))
+    val (attrNames, attrId) = merge(partials.map(_.attrNames))
+    val v = partials.indices.toArray.flatMap(p => partials(p).valueIds.map(valueId(p)))
+    val a = partials.indices.toArray.flatMap(p => partials(p).attrIds.map(attrId(p)))
+    val occ = partials.flatMap(_.occurrences)
     // LSD radix sort: stable by attribute, then stable by value.
-    val order = countingOrder(v, valueNames.length, countingOrder(a, attrNames.length, Array.range(0, values.length)))
+    val order = countingOrder(v, valueNames.length, countingOrder(a, attrNames.length, Array.range(0, v.length)))
     // A pair that straddles partitions has one partial per partition: sum each run.
     val runStart = Array.range(0, order.length).filter { k =>
       k == 0 || v(order(k)) != v(order(k - 1)) || a(order(k)) != a(order(k - 1))
@@ -95,12 +115,75 @@ object CellCounts {
     new CellCounts(valueNames, attrNames, runStart.map(k => v(order(k))), runStart.map(k => a(order(k))), occurrences)
   }
 
-  /** The index in `names` of every entry of `keys`. */
-  private def ids(names: Array[String], keys: Array[String]): Array[Int] = {
-    val id = new java.util.HashMap[String, Integer]((names.length / 0.75).toInt + 1)
-    var i = 0
-    while (i < names.length) { id.put(names(i), i); i += 1 }
-    keys.map(id.get(_).intValue)
+  /** One partition's counts: its distinct value and attribute names as
+    * UTF-8 bytes in Spark's order, and its pairs as indexes into them.
+    * `nullAttr` is set if a cell with a value had a null attribute id.
+    */
+  private final case class Partial(
+      valueNames: Array[Array[Byte]],
+      attrNames: Array[Array[Byte]],
+      valueIds: Array[Int],
+      attrIds: Array[Int],
+      occurrences: Array[Long],
+      nullAttr: Boolean)
+
+  /** Local ids for the distinct strings of one partition, in order of first
+    * sight. Keys are copied: the rows' strings may point into a reused buffer.
+    */
+  private final class Dictionary {
+    private val ids = new java.util.HashMap[UTF8String, Integer]
+    private val names = mutable.ArrayBuffer.empty[UTF8String]
+
+    def id(s: UTF8String): Int = {
+      val known = ids.get(s)
+      if (known != null) known.intValue
+      else {
+        val key = s.copy()
+        ids.put(key, names.length)
+        names += key
+        names.length - 1
+      }
+    }
+
+    /** The names as UTF-8 bytes in Spark's order, and each local id's index
+      * among them.
+      */
+    def sorted: (Array[Array[Byte]], Array[Int]) = {
+      val byName = names.toArray
+      java.util.Arrays.sort(byName, (x: UTF8String, y: UTF8String) => x.compareTo(y))
+      val rank = new Array[Int](byName.length)
+      var k = 0
+      while (k < byName.length) { rank(ids.get(byName(k)).intValue) = k; k += 1 }
+      (byName.map(_.getBytes), rank)
+    }
+  }
+
+  /** Merges dictionaries, each sorted by unsigned bytes and distinct, into
+    * one sorted, distinct name array. `ids(p)(i)` is the merged id of entry
+    * `i` of dictionary `p`.
+    */
+  private def merge(dicts: Array[Array[Array[Byte]]]): (Array[String], Array[Array[Int]]) = {
+    val ids = dicts.map(d => new Array[Int](d.length))
+    val next = new Array[Int](dicts.length)
+    val heads = new java.util.PriorityQueue[Integer](math.max(1, dicts.length),
+      (p: Integer, q: Integer) => java.util.Arrays.compareUnsigned(dicts(p)(next(p)), dicts(q)(next(q))))
+    dicts.indices.foreach(p => if (dicts(p).nonEmpty) heads.add(p))
+    val names = Array.newBuilder[String]
+    var last: Array[Byte] = null
+    var id = -1
+    while (!heads.isEmpty) {
+      val p = heads.poll().intValue
+      val name = dicts(p)(next(p))
+      if (last == null || !java.util.Arrays.equals(name, last)) {
+        id += 1
+        names += new String(name, UTF_8)
+        last = name
+      }
+      ids(p)(next(p)) = id
+      next(p) += 1
+      if (next(p) < dicts(p).length) heads.add(p)
+    }
+    (names.result(), ids)
   }
 
   /** `rows` stably reordered by `key(row)`, a key in `[0, numKeys)`. */

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.lake.DataLake
 
 /** The DomainNet bipartite graph, held on the driver.
@@ -9,7 +8,8 @@ import repro.lake.DataLake
   * Node ids are contiguous: value nodes occupy `[0, numValues)` and
   * attribute nodes `[numValues, numValues + numAttrs)`, so centrality
   * kernels can use dense arrays indexed by node id. Within each part, ids
-  * follow Spark's string order (unsigned UTF-8 bytes, see [[LakeGraph.Utf8Order]]).
+  * follow Spark's string order (unsigned UTF-8 bytes, which is code point
+  * order, not `String.compareTo`'s UTF-16 order).
   *
   * @param valueNames value strings by value id
   * @param attrNames  attribute names by `attrId - numValues`
@@ -48,47 +48,6 @@ final class LakeGraph private[core] (
 
 object LakeGraph {
 
-  /** Normalize a raw cell value the way the paper does: treat it as a
-    * single string, trim surrounding whitespace, upper-case it. Empty and
-    * null values normalize to null (dropped from the graph).
-    *
-    * "Whitespace" is Spark's `trim`: only U+0020 spaces are stripped, so a
-    * value padded with a tab, a newline or a no-break space (U+00A0) stays
-    * distinct from the bare value. DuckDB's `trim`, which the oracle tests
-    * use, also strips U+00A0 and the other Unicode space separators, so
-    * oracle tests keep such padding out of their inputs.
-    */
-  val normalizeCol: org.apache.spark.sql.Column => org.apache.spark.sql.Column =
-    c => {
-      val t = upper(trim(c))
-      when(t.isNull || t === "", lit(null)).otherwise(t)
-    }
-
-  /** Normalized, non-null cells of a lake: `(attribute, value)`. */
-  def normalizedCells(lake: DataLake): DataFrame =
-    lake.cells
-      .select(col("attribute"), normalizeCol(col("value")).as("value"))
-      .filter(col("value").isNotNull)
-
-  /** Spark's string order: unsigned UTF-8 bytes, which is code point order.
-    * `String.compareTo` compares UTF-16 units instead and puts a
-    * supplementary character (a surrogate pair) before U+E000..U+FFFF.
-    */
-  object Utf8Order extends Ordering[String] {
-    def compare(a: String, b: String): Int = {
-      var i = 0
-      var j = 0
-      while (i < a.length && j < b.length) {
-        val ca = a.codePointAt(i)
-        val cb = b.codePointAt(j)
-        if (ca != cb) return Integer.compare(ca, cb)
-        i += Character.charCount(ca)
-        j += Character.charCount(cb)
-      }
-      Integer.compare(a.length - i, b.length - j)
-    }
-  }
-
   /** Node ids and CSR offsets are `Int`s: every node id must fit, and so
     * must the adjacency array, which holds each edge twice.
     */
@@ -104,9 +63,9 @@ object LakeGraph {
     * One map-only Spark stage counts each partition's (value, attribute)
     * pairs of the normalized cells, and the partial counts are summed on the
     * driver; pruning, ids and the [[Csr]] are made there too. The driver
-    * therefore holds what [[CellCounts.of]] collects, at most min(cells,
-    * partitions × distinct pairs) with singletons included, as `repro.d4.D4`
-    * does.
+    * therefore holds what [[CellCounts.of]] collects, as `repro.d4.D4` does:
+    * each partition's names as UTF-8 bytes, and int pairs and counts, at
+    * most min(cells, partitions × distinct pairs), singletons included.
     */
   def build(lake: DataLake, minOccurrences: Int = 2): LakeGraph = of(CellCounts.of(lake), minOccurrences)
 

@@ -32,8 +32,9 @@ import repro.lake.DataLake
   * and overlaps, the Jaccard threshold, column clustering (union-find over
   * at most a few thousand columns), per-domain supports and dominant-meaning
   * pruning, all over the counts' ids. The driver therefore holds what
-  * [[CellCounts.of]] collects, at most min(cells, partitions × distinct
-  * pairs) with singletons included, as `repro.core.LakeGraph.build` does.
+  * [[CellCounts.of]] collects, as `repro.core.LakeGraph.build` does: each
+  * partition's names as UTF-8 bytes, and int pairs and counts, at most
+  * min(cells, partitions × distinct pairs), singletons included.
   */
 object D4 {
 

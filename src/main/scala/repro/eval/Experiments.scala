@@ -168,10 +168,10 @@ object Experiments {
       else {
         val graph = LakeGraph.of(counts, minOccurrences = 1)
         val card = Lcc.valueNeighbourCounts(graph.csr)
+        val id = graph.valueNames.zipWithIndex.toMap
         val cards = homographs.toSeq.map { h =>
-          val v = java.util.Arrays.binarySearch(graph.valueNames, h, LakeGraph.Utf8Order)
-          require(v >= 0, s"homograph $h is not a normalized value of $name")
-          card(v).toLong
+          require(id.contains(h), s"homograph $h is not a normalized value of $name")
+          card(id(h)).toLong
         }
         (cards.min, cards.max)
       }

@@ -1,6 +1,6 @@
 package repro.lake
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A data lake: a bag of table cells, each cell a (attribute, value) pair.
@@ -17,9 +17,41 @@ import org.apache.spark.sql.functions._
   * Cells are NOT deduplicated here; multiplicity is needed by the paper's
   * preprocessing rule (drop values occurring exactly once in the lake).
   */
-final case class DataLake(cells: DataFrame, numTables: Int)
+final case class DataLake(cells: DataFrame, numTables: Int) {
+
+  /** Normalized, non-null cells of the lake: `(attribute, value)`, each
+    * value normalized by [[DataLake.normalizeCol]].
+    *
+    * One query per lake: Spark analyses, optimizes and plans a Dataset once
+    * and keeps the plan, so every reader of this lake reuses it. Each
+    * action still scans the cells. The plan is fixed at first use, as with
+    * Spark's own `Dataset.rdd`: a `cells.cache()` made after that is not
+    * seen, so a caller who caches the cells later passes a new lake,
+    * `copy(cells = cached)`.
+    */
+  lazy val normalizedCells: DataFrame =
+    cells
+      .select(col("attribute"), DataLake.normalizeCol(col("value")).as("value"))
+      .filter(col("value").isNotNull)
+}
 
 object DataLake {
+
+  /** Normalize a raw cell value the way the paper does: treat it as a
+    * single string, trim surrounding whitespace, upper-case it. Empty and
+    * null values normalize to null (dropped from the graph).
+    *
+    * "Whitespace" is Spark's `trim`: only U+0020 spaces are stripped, so a
+    * value padded with a tab, a newline or a no-break space (U+00A0) stays
+    * distinct from the bare value. DuckDB's `trim`, which the oracle tests
+    * use, also strips U+00A0 and the other Unicode space separators, so
+    * oracle tests keep such padding out of their inputs.
+    */
+  val normalizeCol: Column => Column =
+    c => {
+      val t = upper(trim(c))
+      when(t.isNull || t === "", lit(null)).otherwise(t)
+    }
 
   /** Build a lake from named tables. Every column of every table becomes an
     * attribute named `"<table>.<column>"`; every cell is cast to string.

@@ -22,13 +22,13 @@ class CellCountsSpec extends SparkSpec {
     }.toDF("value", "attribute", "occ")
     Oracle.assertEquivalent(got,
       "SELECT value, attribute, count(*) AS occ FROM cells GROUP BY value, attribute",
-      "cells" -> LakeGraph.normalizedCells(lake))
+      "cells" -> lake.normalizedCells)
   }
 
   test("ids follow Spark's string order and pairs are sorted by (value, attribute)") {
     import spark.implicits._
     val counts = CellCounts.of(lake)
-    val cells = LakeGraph.normalizedCells(lake)
+    val cells = lake.normalizedCells
     assert(counts.valueNames.toSeq === cells.select("value").distinct().orderBy("value").as[String].collect().toSeq)
     assert(counts.attrNames.toSeq === cells.select("attribute").distinct().orderBy("attribute").as[String].collect().toSeq)
     val pairs = counts.valueIds.zip(counts.attrIds).toSeq

@@ -15,7 +15,7 @@ class LakeGraphSpec extends SparkSpec {
   test("normalization trims, upper-cases, and drops empty/null values") {
     import spark.implicits._
     val lake = DataLake.ofColumns(spark, "T.a" -> Seq("  a b ", "", "   ", "B", "a b"))
-    val cells = LakeGraph.normalizedCells(lake).as[(String, String)].collect()
+    val cells = lake.normalizedCells.as[(String, String)].collect()
     assert(cells.map(_._2).toSet === Set("A B", "B"))
     assert(cells.count(_._2 == "A B") === 2)
   }
@@ -23,7 +23,7 @@ class LakeGraphSpec extends SparkSpec {
   test("trim strips only U+0020: values padded with a tab or NBSP stay distinct") {
     import spark.implicits._
     val lake = DataLake.ofColumns(spark, "T.a" -> Seq(" x ", "\tx", "x\u00A0", "\u00A0x", "x\n", "x"))
-    val values = LakeGraph.normalizedCells(lake).as[(String, String)].collect().map(_._2)
+    val values = lake.normalizedCells.as[(String, String)].collect().map(_._2)
     assert(values.toSeq.sorted === Seq("\tX", "X", "X", "X\n", "X\u00A0", "\u00A0X").sorted)
   }
 
@@ -68,7 +68,7 @@ class LakeGraphSpec extends SparkSpec {
     val lake = DataLake.ofColumns(spark,
       "T.é" -> odd, "T.\uFFFD" -> odd.take(4), "T.😀" -> odd.drop(4), "T.z" -> Seq("ab"))
     val g = LakeGraph.build(lake)
-    val cells = LakeGraph.normalizedCells(lake)
+    val cells = lake.normalizedCells
     val values = cells.select("value").distinct().orderBy("value").as[String].collect().toSeq
     val attrs = cells.select("attribute").distinct().orderBy("attribute").as[String].collect().toSeq
     assert(g.valueNames.toSeq === values)
@@ -101,7 +101,7 @@ class LakeGraphSpec extends SparkSpec {
       "T.a" -> Seq("x", "y", "z"),
       "T.b" -> Seq("x", "y"),
       "U.c" -> Seq("x", "k", "k"))
-    val cells = LakeGraph.normalizedCells(lake)
+    val cells = lake.normalizedCells
     val edges = cells.distinct()
     val degrees = edges.groupBy("value").agg(count(lit(1)).as("degree"))
     Oracle.assertEquivalent(
@@ -134,7 +134,7 @@ class LakeGraphSpec extends SparkSpec {
     val lake = smallLake
     val g = LakeGraph.build(lake, minOccurrences = 1)
     val csr = BipartiteGraph.toCsr(g)
-    val dfEdges = LakeGraph.normalizedCells(lake).distinct()
+    val dfEdges = lake.normalizedCells.distinct()
       .join(g.values, "value").join(g.attrs, "attribute")
       .select($"valueId".cast("int"), $"attrId".cast("int"))
       .as[(Int, Int)].collect()

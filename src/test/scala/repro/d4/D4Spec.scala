@@ -1,7 +1,7 @@
 package repro.d4
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{CellCounts, LakeGraph}
+import repro.core.CellCounts
 import repro.data.SyntheticBenchmark
 import repro.lake.DataLake
 
@@ -118,7 +118,7 @@ class D4Spec extends SparkSpec {
 
   test("similar column pairs agree with DuckDB") {
     import spark.implicits._
-    val cells = LakeGraph.normalizedCells(oracleLake)
+    val cells = oracleLake.normalizedCells
     val counts = CellCounts.of(oracleLake)
     for (tau <- Seq(0.0, 0.2, 0.35, 0.5, 0.6)) {
       val got = D4.similarPairs(counts, tau).toSeq
@@ -138,7 +138,7 @@ class D4Spec extends SparkSpec {
 
   test("per-(value, domain) supports agree with DuckDB") {
     import spark.implicits._
-    val cells = LakeGraph.normalizedCells(oracleLake)
+    val cells = oracleLake.normalizedCells
     val counts = CellCounts.of(oracleLake)
     val domains = D4.clusterColumns(counts.numAttrs, D4.similarPairs(counts, tau = 0.2), minDomainCols = 2)
     val named = counts.attrNames.indices.collect { case c if domains(c) >= 0 => (counts.attrNames(c), domains(c).toLong) }

@@ -42,7 +42,7 @@ class SyntheticBenchmarkSpec extends SparkSpec {
     // all non-planted tokens carry their pool tag; a value node whose
     // attribute set spans pools with different tags would be an accidental
     // homograph and break ground truth
-    val cells = LakeGraph.normalizedCells(sb.lake)
+    val cells = sb.lake.normalizedCells
     val nonPlanted = cells.filter(!col("value").startsWith("HOM"))
     val tags = nonPlanted
       .select(split(col("value"), "_").getItem(0).as("tag"), col("value"))
@@ -67,7 +67,7 @@ class SyntheticBenchmarkSpec extends SparkSpec {
 
   test("code homographs live in the small code domains") {
     import spark.implicits._
-    val cells = LakeGraph.normalizedCells(sb.lake)
+    val cells = sb.lake.normalizedCells
     val codeAttrs = cells
       .filter(col("value").isin(sb.smallDomainHomographs.toSeq: _*))
       .select("attribute").distinct().as[String].collect().toSet

@@ -36,7 +36,7 @@ class TusGenSpec extends SparkSpec {
     import spark.implicits._
     val lake = tusSpec.toLake(spark)
     val colDomain = tusSpec.columns.map(c => (c.attribute, c.domain)).toDF("attribute", "domain")
-    val dfHoms = LakeGraph.normalizedCells(lake)
+    val dfHoms = lake.normalizedCells
       .distinct()
       .join(colDomain, "attribute")
       .groupBy("value")

@@ -48,7 +48,7 @@ class ExperimentsSpec extends SparkSpec {
     // H co-occurs with x,y in T.a and z,x in U.b -> |N(H)| = 3
     assert(stats.cardMin === 3 && stats.cardMax === 3)
     assert(stats.meaningsMin === 2 && stats.meaningsMax === 2)
-    val cells = LakeGraph.normalizedCells(lake)
+    val cells = lake.normalizedCells
     Oracle.assertEquivalent(Seq((stats.numAttrs, stats.numValues)).toDF("attrs", "vals"),
       "SELECT count(DISTINCT attribute) AS attrs, count(DISTINCT value) AS vals FROM cells",
       "cells" -> cells)
