@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions.{countDistinct, spark_partition_id}
 import repro.{Oracle, SparkSpec}
 import repro.lake.DataLake
@@ -44,13 +45,22 @@ class CellCountsSpec extends SparkSpec {
   private def arrays(c: CellCounts) =
     (c.valueNames.toSeq, c.attrNames.toSeq, c.valueIds.toSeq, c.attrIds.toSeq, c.occurrences.toSeq)
 
+  /** 48 cells of [[LakeGraphSpec.odd]] strings: fewer than 64, so 64
+    * partitions leave some empty.
+    */
+  private def oddLake = {
+    import LakeGraphSpec.odd
+    DataLake.ofColumns(spark,
+      "T.a" -> (0 until 24).map(i => odd(i % 5)),
+      "T.\uFFFD" -> (0 until 20).map(i => odd(i % 9)),
+      "T.\uD83D\uDE00" -> Seq(odd(6), "w", odd(6), "x"))
+  }
+
   test("counts do not depend on how the cells are partitioned") {
-    // 48 cells: fewer than 64, so 64 partitions leave some empty
-    val original = DataLake.ofColumns(spark,
-      "T.a" -> (0 until 24).map(i => s"v${i % 5}"),
-      "T.b" -> (0 until 20).map(i => s"v${i % 7}"),
-      "U.c" -> Seq("v1", "w", "v1", "x"))
+    val original = oddLake
     val expected = arrays(CellCounts.of(original))
+    val (values, attrs) = (expected._1, expected._2)
+    assert(values.sorted != values && attrs.sorted != attrs, "the lake must tell UTF-16 order from UTF-8 order")
     for (n <- Seq(1, 7, 64)) {
       val cells = original.cells.repartition(n)
       // at 7 and 64 partitions some pair straddles partitions
@@ -60,6 +70,29 @@ class CellCountsSpec extends SparkSpec {
       if (n == 64) assert(part.select("part").distinct().count() < n)
       assert(arrays(CellCounts.of(DataLake(cells, original.numTables))) === expected, s"$n partitions")
     }
+  }
+
+  test("two calls on one lake give identical arrays and submit 1 stage each") {
+    val l = oddLake
+    var first, second: CellCounts = null
+    assert(stagesSubmitted { first = CellCounts.of(l) } === 1)
+    assert(stagesSubmitted { second = CellCounts.of(l) } === 1)
+    assert(arrays(first) === arrays(second))
+  }
+
+  test("a copy with new cells is planned afresh and counts the same") {
+    val l = oddLake
+    val expected = arrays(CellCounts.of(l))
+    def readsCache(lake: DataLake) =
+      lake.normalizedCells.queryExecution.executedPlan.exists(_.isInstanceOf[InMemoryTableScanExec])
+    val cached = l.cells.cache()
+    try {
+      // l was planned before the cache, so it keeps scanning its source
+      assert(!readsCache(l))
+      val fresh = l.copy(cells = cached)
+      assert(readsCache(fresh))
+      assert(arrays(CellCounts.of(fresh)) === expected)
+    } finally cached.unpersist()
   }
 
   test("an empty lake and a lake of null or empty values have no pairs") {

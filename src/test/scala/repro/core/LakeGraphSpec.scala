@@ -62,9 +62,7 @@ class LakeGraphSpec extends SparkSpec {
 
   test("value and attribute ids follow Spark's string order, not String.compareTo") {
     import spark.implicits._
-    // U+FFFD sorts before U+1F600 in UTF-8 (and code point) order, after
-    // it in UTF-16 order, where the emoji is a surrogate pair starting 0xD83D.
-    val odd = Seq("a", "ab", "z", "é", "\uFFFD", "\uFFFDx", "😀", "😀x", "Ω")
+    import LakeGraphSpec.odd
     val lake = DataLake.ofColumns(spark,
       "T.é" -> odd, "T.\uFFFD" -> odd.take(4), "T.😀" -> odd.drop(4), "T.z" -> Seq("ab"))
     val g = LakeGraph.build(lake)
@@ -170,4 +168,13 @@ class LakeGraphSpec extends SparkSpec {
         "cells" -> lake.cells)
     }
   }
+}
+
+object LakeGraphSpec {
+
+  /** Strings whose UTF-8 (code point) order differs from UTF-16 order:
+    * U+FFFD sorts before U+1F600 in UTF-8, after it in UTF-16, where the
+    * emoji is a surrogate pair starting 0xD83D.
+    */
+  val odd: Seq[String] = Seq("a", "ab", "z", "é", "\uFFFD", "\uFFFDx", "😀", "😀x", "Ω")
 }
