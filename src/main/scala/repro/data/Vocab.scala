@@ -17,6 +17,8 @@ object Vocab {
 
   /** Plant `count` homographs across two pools: slots `aSlots(i)` of `a`
     * and `bSlots(i)` of `b` are both replaced by the homograph token.
+    * Slots are taken in a random order, skipping those that already hold a
+    * planted token, so a pool planted into twice keeps every homograph.
     * Returns the modified pools and the planted tokens.
     */
   def plantHomographs(
@@ -25,13 +27,23 @@ object Vocab {
       count: Int,
       namePrefix: String,
       seed: Long): (IndexedSeq[String], IndexedSeq[String], IndexedSeq[String]) = {
-    require(count <= a.size && count <= b.size, "pools too small for requested homographs")
+    require(count <= 1000, "planted tokens carry a three-digit index")
     val rnd = new scala.util.Random(seed)
-    val aSlots = rnd.shuffle(a.indices.toList).take(count)
-    val bSlots = rnd.shuffle(b.indices.toList).take(count)
+    def freeSlots(pool: IndexedSeq[String]) = {
+      val slots = rnd.shuffle(pool.indices.toList).filterNot(s => isPlanted(pool(s))).take(count)
+      require(slots.size == count, "pools too small for requested homographs")
+      slots
+    }
+    val aSlots = freeSlots(a)
+    val bSlots = freeSlots(b)
     val toks = (0 until count).map(i => f"${namePrefix.toUpperCase}%s_$i%03d")
     val a2 = aSlots.zip(toks).foldLeft(a) { case (acc, (s, t)) => acc.updated(s, t) }
     val b2 = bSlots.zip(toks).foldLeft(b) { case (acc, (s, t)) => acc.updated(s, t) }
     (a2, b2, toks)
   }
+
+  /** Whether `token` was planted by [[plantHomographs]]: a planted token
+    * ends in a three-digit index, a [[pool]] token in a five-digit one.
+    */
+  private def isPlanted(token: String): Boolean = token.lastIndexOf('_') == token.length - 4
 }

@@ -111,25 +111,25 @@ object GoldenDigestSpec {
       "exactBC" -> "90c1036c385699531d1e86de69f07d114f7603a113fc0a74e47324e780f8c2a7",
       "lcc" -> "8fddf76b600f5f62abf68977924a30bf12db3c90bb154467cf4537199868b4f4"),
     Map(
-      "approxBC" -> "92095bbd770683d0f95ffb8c79649e0ff4caa5781278400cd9723b146802b58d",
-      "card" -> "3b90b576911378a4fc6cd2621b76646a4d30be1decb29885a74b1f89182847d8",
-      "cells.names" -> "4c881aca6c809abeff0263644962bb1da3319d77f975be14b160d62ac7f4ff46",
-      "cells.pairs" -> "72ffdc15c80e9c1849b8b7e0816fd5c3d9373b08bee8c9bb16b1808440fbcfda",
-      "classes" -> "836b6bd0a9e3e32f3d2bd942f217614f804f90a6fa81f48b48b999b8983749e4",
-      "csr" -> "75ae977ed434a8443c50f3e02994a30e607fe375fa49f3975741696214f910fc",
-      "d4" -> "3d17b5c4bc011e5724638b153043d0fb2cbaaeb5d08a36677ec9adfd9a9e10e5",
-      "exactBC" -> "c2157510111998ef070d80582e4f1f47f3db9462c044e4b3ada4e1a0a53ecbf2",
-      "lcc" -> "657798908bbd12c68e8ec292679767757d07754d4b342adda5b89931146a00e3"),
+      "approxBC" -> "179b4274b53559b8b3ea030278bcce7999d7d4249d2f5aec69f70db43d56ad5e",
+      "card" -> "81df5b8a6843cffa672ef9131d442a62a42f87f647ce836b9e4aa77cf7f50d2b",
+      "cells.names" -> "867ccc38d2e608635c32e6fc125ef9e5cb335eb1e7d46e5ab12146c02c1693fa",
+      "cells.pairs" -> "d0521e93a0b75ec1b9df112e9889e018dfd4b0cb35d075d81558a5f88203092e",
+      "classes" -> "85d3fd94baa7335bdcb032219e81fd2725a629173c76a0b0804eb3365bcb28af",
+      "csr" -> "4022d129a79acabc4079246e541d81740a3612b138e16577c9f44e2690da4f68",
+      "d4" -> "07a2a7e9c981750fb48eb942043a2de5023862e37d5f1fe2f3e0865165a0eda0",
+      "exactBC" -> "a52210d6a6d2dab196ef30ee174ab1d51567f11f3afa40d6863adf3b0fe7876c",
+      "lcc" -> "8661f440402b63c58030e718f42b42906e84385079683231b85d99511367d91e"),
     Map(
-      "approxBC" -> "f985b44ec95d239fc1a8dac6f28c01b153d8a650dd16e0a63a8fb664525e5c19",
-      "card" -> "e270366be46645d02be89c033a4f379ba42a5f057f42ac888e798051ccd0a0fa",
-      "cells.names" -> "1187ecda4253488a01c9a1c1c7e3126d4ee672a314f880343ec3dd246751fe0c",
-      "cells.pairs" -> "60f3841e1fe4f7b98f74e80fc6e01220bfd6041fe6658d9fe5da2173bd40f7b2",
-      "classes" -> "e37dcb94b545068ac41a88a17b96a73fe2aca233eca9248eed04c97f26320978",
-      "csr" -> "1d4b9d80ef1c72c7a1c3007e88305ccf66f430cf37cf439b7a274d239e1a6180",
-      "d4" -> "6afdec22a9a3b026416428162f4b794416b1842c714b804baf4ffcde18fccadd",
-      "exactBC" -> "4e5c571c7ac3179bb938aafb722376ffcf1d7433edc3651f5b466800380773ee",
-      "lcc" -> "04f6288f1dea8102c9730933b6ccfe300b794898682bb28e2d2d061de67fa82d"))
+      "approxBC" -> "49c101f3a17908bb42d59af2a5f6b5d05c04eb5f24c5f2f6a1c20c8d16b7ac36",
+      "card" -> "ebcd2ffe5dbbc62cce24b7d060926c9fd4e9da585874b201b8dafc5956d1af92",
+      "cells.names" -> "1c0547e963a6202359789bb2ad8ad62c49e071f504a61b48d8e8734cfecb9936",
+      "cells.pairs" -> "40fca4b3c58fdeb5fd52fd3eae818836a5a3286229c1d7aee4bd87cb27906047",
+      "classes" -> "967f78016b311b41b2859421d5e1c61a593e9602ec4eeca860de9c7d90cee6e5",
+      "csr" -> "b15f144ecce96138920188ff245fbb9af4d57fb41944488c8b8ab33e58a5068d",
+      "d4" -> "8d2819d4f144078adea77381cb16597daa0d4834ee8fd1cd9723ab50f19a58b7",
+      "exactBC" -> "834ec53ab5ef9b658585be392f47280224bea7cc1c9b10dba3388c3b5b911d78",
+      "lcc" -> "6a0da58fd57f6fe00e6c864ba39077e5a33fc6073a7c2577511d9fd7de1d78f6"))
 
   private val TusI: Map[String, String] = Map(
     "approxBC" -> "d9766abc0f6653acb78a30884f75b6d15f594d6d68e2fd3ff41c772f208b8605",

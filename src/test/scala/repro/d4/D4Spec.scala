@@ -162,16 +162,19 @@ class D4Spec extends SparkSpec {
   }
 
   // Recorded before D4's column overlaps, clustering and supports moved to
-  // the driver; any change here is a change in D4's output on SB.
+  // the driver; any change here is a change in D4's output on SB. Seeds 2
+  // and 3 were re-recorded when SB stopped overwriting planted homographs,
+  // which changed those two lakes.
   private val sbGolden = Seq(
     1L -> Seq("HOMCITYNAME_000", "HOMCITYNAME_001", "HOMCITYNAME_002", "HOMCITYNAME_003", "HOMCITYNAME_004",
       "HOMCITYNAME_005", "HOMCITYNAME_006", "HOMCITYNAME_007", "HOMCOCAR_000", "HOMCOCAR_001", "HOMCOCAR_002",
       "HOMCOUNTRYCITY_002"),
     2L -> Seq("HOMCITYCAR_002", "HOMCITYNAME_000", "HOMCITYNAME_001", "HOMCITYNAME_002", "HOMCITYNAME_004",
       "HOMCITYNAME_005", "HOMCITYNAME_007", "HOMCOCAR_000", "HOMCOCAR_001", "HOMCOCAR_002", "HOMCOUNTRYCITY_000",
-      "HOMCOUNTRYCITY_001", "HOMCOUNTRYCITY_002", "HOMCOUNTRYCITY_004"),
+      "HOMCOUNTRYCITY_001", "HOMCOUNTRYCITY_002", "HOMCOUNTRYCITY_003", "HOMCOUNTRYCITY_004"),
     3L -> Seq("HOMCITYNAME_000", "HOMCITYNAME_001", "HOMCITYNAME_002", "HOMCITYNAME_003", "HOMCITYNAME_004",
-      "HOMCITYNAME_005", "HOMCITYNAME_006", "HOMCITYNAME_007", "HOMCOCAR_000", "HOMCOCAR_001", "HOMCOCAR_002"))
+      "HOMCITYNAME_005", "HOMCITYNAME_006", "HOMCITYNAME_007", "HOMCOCAR_000", "HOMCOCAR_001", "HOMCOCAR_002",
+      "HOMCOUNTRYCITY_001"))
 
   for ((seed, homographs) <- sbGolden)
     test(s"SB seed $seed: 6 domains and the recorded homographs (tau 0.35, dominance 0.35)") {

@@ -29,6 +29,20 @@ class VocabSpec extends AnyFunSuite {
     assert(a2.toSet.intersect(b2.toSet) === toks.toSet)
   }
 
+  test("plantHomographs keeps the tokens planted earlier in the same pool") {
+    val a = Vocab.pool("a", 12); val b = Vocab.pool("b", 12); val c = Vocab.pool("c", 12)
+    for (seed <- 0L until 20L) {
+      val (a2, _, first) = Vocab.plantHomographs(a, b, 6, "h", seed)
+      // a has 6 free slots left: the second plant must take exactly those
+      val (a3, _, second) = Vocab.plantHomographs(a2, c, 6, "k", seed + 100)
+      assert((first ++ second).forall(a3.contains), s"seed $seed")
+    }
+    intercept[IllegalArgumentException] {
+      val (a2, _, _) = Vocab.plantHomographs(a, b, 6, "h", 1)
+      Vocab.plantHomographs(a2, c, 7, "k", 2)
+    }
+  }
+
   test("plantHomographs is deterministic in the seed") {
     val a = Vocab.pool("a", 30); val b = Vocab.pool("b", 30)
     val r1 = Vocab.plantHomographs(a, b, 4, "h", 9)
