@@ -132,24 +132,18 @@ object CellCounts {
     */
   private final class Dictionary {
     private val ids = new java.util.HashMap[UTF8String, Integer]
-    private val names = mutable.ArrayBuffer.empty[UTF8String]
 
     def id(s: UTF8String): Int = {
       val known = ids.get(s)
       if (known != null) known.intValue
-      else {
-        val key = s.copy()
-        ids.put(key, names.length)
-        names += key
-        names.length - 1
-      }
+      else { val id = ids.size; ids.put(s.copy(), id); id }
     }
 
     /** The names as UTF-8 bytes in Spark's order, and each local id's index
       * among them.
       */
     def sorted: (Array[Array[Byte]], Array[Int]) = {
-      val byName = names.toArray
+      val byName = ids.keySet.toArray(new Array[UTF8String](ids.size))
       java.util.Arrays.sort(byName, (x: UTF8String, y: UTF8String) => x.compareTo(y))
       val rank = new Array[Int](byName.length)
       var k = 0
