@@ -144,12 +144,7 @@ object Betweenness {
     val n = csr.numNodes
     val numSources = sources.length.toLong
     val partial = IntStream.range(0, slices).parallel().mapToObj[Array[Double]] { p =>
-      val acc = new Array[Double](n)
-      val state = new BrandesState(csr)
-      var i = (p * numSources / slices).toInt
-      val end = ((p + 1) * numSources / slices).toInt
-      while (i < end) { brandesFrom(csr, sources(i), weights(i), state, acc); i += 1 }
-      acc
+      brandesSlice(csr, sources, weights, (p * numSources / slices).toInt, ((p + 1) * numSources / slices).toInt)
     }.toArray[Array[Double]](new Array[Array[Double]](_))
     // Summed in slice order, not completion order, so the bits depend on
     // the slice count only.
@@ -165,111 +160,122 @@ object Betweenness {
     summed
   }
 
-  /** Reusable per-slice scratch space for Brandes' algorithm. `dist` is
-    * -1 and `sigma` and `coeff` are 0 on every node between sources.
+  /** Brandes from sources `from` until `until`, into one dense vector:
+    * single-source shortest-path counting and dependency accumulation from
+    * each source `s = sources(i)`, adding `weights(i)` times δ_s(v) for all
+    * v ≠ s and, if `s` is an attribute, `(weights(i) − 1) · (reached − 2)`
+    * at `s`.
+    *
+    * The loop over the sources is in this method, not in a caller of a
+    * per-source method: a slice's loops run hot from its first call, so
+    * the JIT compiles them into the running call (on-stack replacement),
+    * while a per-source method reached its optimizing compile only after a
+    * few whole BC calls, which then ran several times slower.
     */
-  private final class BrandesState(g: Csr) {
-    val dist = Array.fill(g.numNodes)(-1)
+  private def brandesSlice(g: Csr, sources: Array[Int], weights: Array[Int], from: Int, until: Int): Array[Double] = {
+    val acc = new Array[Double](g.numNodes)
+    // -1, 0 and 0 on every node between sources
+    val dist = new Array[Int](g.numNodes)
+    java.util.Arrays.fill(dist, -1)
     val sigma = new Array[Double](g.numNodes)
     val coeff = new Array[Double](g.numNodes) // (1 + δ) / σ of finished nodes
     val order = new Array[Int](g.numNodes) // nodes in BFS visitation order
-  }
-
-  /** Single-source shortest-path counting + dependency accumulation.
-    * Adds `weight` times the dependencies δ_s(v) into `acc` for all v ≠ s
-    * and, if `s` is an attribute, `(weight − 1) · (reached − 2)` at `s`.
-    */
-  private def brandesFrom(g: Csr, s: Int, weight: Int, state: BrandesState, acc: Array[Double]): Unit = {
-    import state._
     val offsets = g.offsets
     val nbrs = g.neighbors
     val nv = g.numValues
-    order(0) = s
-    var tail = 1
-    dist(s) = 0
-    sigma(s) = 1.0
-    // Adjacency of the nodes not yet reached, per side; a level is expanded
-    // from whichever of its frontier and the next side's unvisited nodes
-    // has fewer edges to scan.
-    var valueEdgesLeft = g.numEdges.toLong
-    var attrEdgesLeft = g.numEdges.toLong
-    var frontierEdges = (offsets(s + 1) - offsets(s)).toLong
-    if (s < nv) valueEdgesLeft -= frontierEdges else attrEdgesLeft -= frontierEdges
-    var levelStart = 0
-    var levelEnd = 1
-    var d = 0
-    while (levelStart < levelEnd) {
-      val nextIsValue = order(levelStart) >= nv
-      var nextEdges = 0L
-      if (frontierEdges <= (if (nextIsValue) valueEdgesLeft else attrEdgesLeft)) {
-        var k = levelStart
-        while (k < levelEnd) {
-          val v = order(k)
-          val sv = sigma(v)
-          var i = offsets(v)
-          val end = offsets(v + 1)
-          while (i < end) {
-            val w = nbrs(i)
-            if (dist(w) < 0) {
-              dist(w) = d + 1
-              order(tail) = w; tail += 1
-              nextEdges += offsets(w + 1) - offsets(w)
+    var src = from
+    while (src < until) {
+      val s = sources(src)
+      val weight = weights(src)
+      order(0) = s
+      var tail = 1
+      dist(s) = 0
+      sigma(s) = 1.0
+      // Adjacency of the nodes not yet reached, per side; a level is expanded
+      // from whichever of its frontier and the next side's unvisited nodes
+      // has fewer edges to scan.
+      var valueEdgesLeft = g.numEdges.toLong
+      var attrEdgesLeft = g.numEdges.toLong
+      var frontierEdges = (offsets(s + 1) - offsets(s)).toLong
+      if (s < nv) valueEdgesLeft -= frontierEdges else attrEdgesLeft -= frontierEdges
+      var levelStart = 0
+      var levelEnd = 1
+      var d = 0
+      while (levelStart < levelEnd) {
+        val nextIsValue = order(levelStart) >= nv
+        var nextEdges = 0L
+        if (frontierEdges <= (if (nextIsValue) valueEdgesLeft else attrEdgesLeft)) {
+          var k = levelStart
+          while (k < levelEnd) {
+            val v = order(k)
+            val sv = sigma(v)
+            var i = offsets(v)
+            val end = offsets(v + 1)
+            while (i < end) {
+              val w = nbrs(i)
+              if (dist(w) < 0) {
+                dist(w) = d + 1
+                order(tail) = w; tail += 1
+                nextEdges += offsets(w + 1) - offsets(w)
+              }
+              if (dist(w) == d + 1) sigma(w) += sv
+              i += 1
             }
-            if (dist(w) == d + 1) sigma(w) += sv
-            i += 1
+            k += 1
           }
-          k += 1
-        }
-      } else {
-        // Scan the next side's ids. An unvisited node's visited neighbours
-        // all lie on the frontier, and its unvisited ones have σ = 0, so it
-        // sums σ over all neighbours.
-        var u = if (nextIsValue) 0 else nv
-        val sideEnd = if (nextIsValue) nv else g.numNodes
-        while (u < sideEnd) {
-          if (dist(u) < 0) {
-            var paths = 0.0
-            var i = offsets(u)
-            val end = offsets(u + 1)
-            while (i < end) { paths += sigma(nbrs(i)); i += 1 }
-            if (paths > 0) {
-              dist(u) = d + 1
-              sigma(u) = paths
-              order(tail) = u; tail += 1
-              nextEdges += end - offsets(u)
+        } else {
+          // Scan the next side's ids. An unvisited node's visited neighbours
+          // all lie on the frontier, and its unvisited ones have σ = 0, so it
+          // sums σ over all neighbours.
+          var u = if (nextIsValue) 0 else nv
+          val sideEnd = if (nextIsValue) nv else g.numNodes
+          while (u < sideEnd) {
+            if (dist(u) < 0) {
+              var paths = 0.0
+              var i = offsets(u)
+              val end = offsets(u + 1)
+              while (i < end) { paths += sigma(nbrs(i)); i += 1 }
+              if (paths > 0) {
+                dist(u) = d + 1
+                sigma(u) = paths
+                order(tail) = u; tail += 1
+                nextEdges += end - offsets(u)
+              }
             }
+            u += 1
           }
-          u += 1
         }
+        if (nextIsValue) valueEdgesLeft -= nextEdges else attrEdgesLeft -= nextEdges
+        frontierEdges = nextEdges
+        levelStart = levelEnd
+        levelEnd = tail
+        d += 1
       }
-      if (nextIsValue) valueEdgesLeft -= nextEdges else attrEdgesLeft -= nextEdges
-      frontierEdges = nextEdges
-      levelStart = levelEnd
-      levelEnd = tail
-      d += 1
+      // Dependencies in reverse BFS order. A neighbour one level down has
+      // finished and holds its coefficient; one level up still holds 0.
+      val wt = weight.toDouble
+      var k = tail - 1
+      while (k > 0) { // order(0) == s needs no accumulation into itself
+        val w = order(k)
+        var sum = 0.0
+        var i = offsets(w)
+        val end = offsets(w + 1)
+        while (i < end) { sum += coeff(nbrs(i)); i += 1 }
+        val delta = sigma(w) * sum
+        acc(w) += wt * delta
+        coeff(w) = (1.0 + delta) / sigma(w)
+        k -= 1
+      }
+      if (s >= nv && weight > 1) acc(s) += (wt - 1.0) * (tail - 2)
+      // Reset touched state for the next source.
+      k = 0
+      while (k < tail) {
+        val v = order(k)
+        dist(v) = -1; sigma(v) = 0.0; coeff(v) = 0.0
+        k += 1
+      }
+      src += 1
     }
-    // Dependencies in reverse BFS order. A neighbour one level down has
-    // finished and holds its coefficient; one level up still holds 0.
-    val wt = weight.toDouble
-    var k = tail - 1
-    while (k > 0) { // order(0) == s needs no accumulation into itself
-      val w = order(k)
-      var sum = 0.0
-      var i = offsets(w)
-      val end = offsets(w + 1)
-      while (i < end) { sum += coeff(nbrs(i)); i += 1 }
-      val delta = sigma(w) * sum
-      acc(w) += wt * delta
-      coeff(w) = (1.0 + delta) / sigma(w)
-      k -= 1
-    }
-    if (s >= nv && weight > 1) acc(s) += (wt - 1.0) * (tail - 2)
-    // Reset touched state for the next source.
-    k = 0
-    while (k < tail) {
-      val v = order(k)
-      dist(v) = -1; sigma(v) = 0.0; coeff(v) = 0.0
-      k += 1
-    }
+    acc
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
 import java.nio.charset.StandardCharsets.UTF_8
-import scala.collection.mutable
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.unsafe.Platform
 import org.apache.spark.unsafe.types.UTF8String
 import repro.lake.DataLake
 
@@ -53,9 +54,10 @@ object CellCounts {
     * depend on how the cells are partitioned.
     *
     * A partition gives its distinct values and attributes local ids, sorts
-    * each dictionary in Spark's order (`UTF8String.compareTo`, unsigned
-    * bytes) and ships it as byte arrays, with its pairs as int local ids
-    * and counts. The driver holds, per partition, that partition's
+    * each dictionary in Spark's order (`UTF8String.binaryCompare`, unsigned
+    * bytes), radix-sorts its cells by (value, attribute) and sums each run,
+    * and ships its dictionaries as one byte array each, with its pairs as
+    * int ids and counts. The driver holds, per partition, that partition's
     * dictionaries and distinct pairs: at most min(cells, partitions ×
     * distinct pairs) int pairs and counts. This is the number of distinct
     * pairs when no pair straddles partitions, as in `repro.data.TusGen`'s
@@ -67,65 +69,103 @@ object CellCounts {
     * planned once and every call only scans and counts. The plan is fixed
     * at the lake's first use (see [[DataLake.normalizedCells]]).
     *
+    * The per-cell and per-pair code is plain loops over primitive arrays:
+    * no boxed count per cell and no generic collection method, so a call
+    * allocates little and leaves the JIT less to compile while a JVM warms
+    * up, when a call's time varies most.
+    *
     * Every cell with a non-empty value needs a non-null attribute id.
     */
   def of(lake: DataLake): CellCounts = {
-    val partials = lake.normalizedCells.queryExecution.toRdd.mapPartitions { rows =>
-      val values = new Dictionary
-      val attrs = new Dictionary
-      val counts = mutable.LongMap.empty[Long]
-      var nullAttr = false
-      rows.foreach { r =>
-        if (r.isNullAt(0)) nullAttr = true
-        else {
-          val pair = values.id(r.getUTF8String(1)).toLong << 32 | attrs.id(r.getUTF8String(0))
-          counts.update(pair, counts.getOrElse(pair, 0L) + 1)
-        }
-      }
-      val (valueNames, valueRank) = values.sorted
-      val (attrNames, attrRank) = attrs.sorted
-      val valueIds = new Array[Int](counts.size)
-      val attrIds = new Array[Int](counts.size)
-      val occ = new Array[Long](counts.size)
-      var i = 0
-      counts.foreach { case (pair, n) =>
-        valueIds(i) = valueRank((pair >>> 32).toInt); attrIds(i) = attrRank(pair.toInt); occ(i) = n; i += 1
-      }
-      Iterator.single(Partial(valueNames, attrNames, valueIds, attrIds, occ, nullAttr))
-    }.collect()
+    val cells = lake.normalizedCells.queryExecution.toRdd
+    val partials = cells.sparkContext.runJob(cells, CountPartition)
     require(!partials.exists(_.nullAttr), "every lake cell with a non-empty value needs a non-null attribute id")
-    val (valueNames, valueId) = merge(partials.map(_.valueNames))
-    val (attrNames, attrId) = merge(partials.map(_.attrNames))
-    val v = partials.indices.toArray.flatMap(p => partials(p).valueIds.map(valueId(p)))
-    val a = partials.indices.toArray.flatMap(p => partials(p).attrIds.map(attrId(p)))
-    val occ = partials.flatMap(_.occurrences)
-    // LSD radix sort: stable by attribute, then stable by value.
-    val order = countingOrder(v, valueNames.length, countingOrder(a, attrNames.length, Array.range(0, v.length)))
-    // A pair that straddles partitions has one partial per partition: sum each run.
-    val runStart = Array.range(0, order.length).filter { k =>
-      k == 0 || v(order(k)) != v(order(k - 1)) || a(order(k)) != a(order(k - 1))
+    val (valueNames, valueId) = merge(partials.map(_.values))
+    val (attrNames, attrId) = merge(partials.map(_.attrs))
+    // The partials' pairs, in merged ids.
+    val numRows = partials.map(_.occurrences.length).sum
+    val v = new Array[Int](numRows)
+    val a = new Array[Int](numRows)
+    val occ = new Array[Long](numRows)
+    var row = 0
+    var p = 0
+    while (p < partials.length) {
+      val part = partials(p)
+      var i = 0
+      while (i < part.occurrences.length) {
+        v(row) = valueId(p)(part.valueIds(i))
+        a(row) = attrId(p)(part.attrIds(i))
+        occ(row) = part.occurrences(i)
+        i += 1; row += 1
+      }
+      p += 1
     }
-    val occurrences = Array.tabulate(runStart.length) { r =>
-      val until = if (r + 1 < runStart.length) runStart(r + 1) else order.length
-      var sum = 0L
-      var k = runStart(r)
-      while (k < until) { sum += occ(order(k)); k += 1 }
-      sum
-    }
-    new CellCounts(valueNames, attrNames, runStart.map(k => v(order(k))), runStart.map(k => a(order(k))), occurrences)
+    // A pair that straddles partitions has one partial per partition.
+    val (valueIds, attrIds, occurrences) = sumPairs(v, valueNames.length, a, attrNames.length, occ)
+    new CellCounts(valueNames, attrNames, valueIds, attrIds, occurrences)
   }
 
-  /** One partition's counts: its distinct value and attribute names as
-    * UTF-8 bytes in Spark's order, and its pairs as indexes into them.
+  /** One partition's counts: its distinct value and attribute names in
+    * Spark's order, and its pairs as indexes into them, sorted.
     * `nullAttr` is set if a cell with a value had a null attribute id.
     */
   private final case class Partial(
-      valueNames: Array[Array[Byte]],
-      attrNames: Array[Array[Byte]],
+      values: Names,
+      attrs: Names,
       valueIds: Array[Int],
       attrIds: Array[Int],
       occurrences: Array[Long],
       nullAttr: Boolean)
+
+  /** Distinct names as UTF-8 bytes: name `i` is `bytes` from `offsets(i)`
+    * until `offsets(i + 1)`.
+    */
+  private final case class Names(bytes: Array[Byte], offsets: Array[Int]) {
+    def size: Int = offsets.length - 1
+
+    /** Name `i` against name `j` of `that`, by unsigned bytes. */
+    def compare(i: Int, that: Names, j: Int): Int =
+      java.util.Arrays.compareUnsigned(bytes, offsets(i), offsets(i + 1), that.bytes, that.offsets(j), that.offsets(j + 1))
+
+    def string(i: Int): String = new String(bytes, offsets(i), offsets(i + 1) - offsets(i), UTF_8)
+  }
+
+  /** Counts one partition's cells. A named function, not a closure: Spark's
+    * closure cleaner reads the bytecode of a closure's enclosing class on
+    * every job, and has nothing to read here.
+    */
+  private object CountPartition extends (Iterator[InternalRow] => Partial) with Serializable {
+    def apply(rows: Iterator[InternalRow]): Partial = {
+      val values = new Dictionary
+      val attrs = new Dictionary
+      var cellValue = new Array[Int](1024)
+      var cellAttr = new Array[Int](1024)
+      var n = 0
+      var nullAttr = false
+      while (rows.hasNext) {
+        val r = rows.next()
+        if (r.isNullAt(0)) nullAttr = true
+        else {
+          if (n == cellValue.length) {
+            cellValue = java.util.Arrays.copyOf(cellValue, 2 * n)
+            cellAttr = java.util.Arrays.copyOf(cellAttr, 2 * n)
+          }
+          cellValue(n) = values.id(r.getUTF8String(1))
+          cellAttr(n) = attrs.id(r.getUTF8String(0))
+          n += 1
+        }
+      }
+      val (valueNames, valueRank) = values.sorted
+      val (attrNames, attrRank) = attrs.sorted
+      var i = 0
+      while (i < n) { cellValue(i) = valueRank(cellValue(i)); cellAttr(i) = attrRank(cellAttr(i)); i += 1 }
+      val ones = new Array[Long](n)
+      java.util.Arrays.fill(ones, 1L)
+      val (valueIds, attrIds, occ) = sumPairs(
+        java.util.Arrays.copyOf(cellValue, n), valueNames.size, java.util.Arrays.copyOf(cellAttr, n), attrNames.size, ones)
+      Partial(valueNames, attrNames, valueIds, attrIds, occ, nullAttr)
+    }
+  }
 
   /** Local ids for the distinct strings of one partition, in order of first
     * sight. Keys are copied: the rows' strings may point into a reused buffer.
@@ -139,16 +179,22 @@ object CellCounts {
       else { val id = ids.size; ids.put(s.copy(), id); id }
     }
 
-    /** The names as UTF-8 bytes in Spark's order, and each local id's index
-      * among them.
-      */
-    def sorted: (Array[Array[Byte]], Array[Int]) = {
+    /** The names in Spark's order, and each local id's index among them. */
+    def sorted: (Names, Array[Int]) = {
       val byName = ids.keySet.toArray(new Array[UTF8String](ids.size))
-      java.util.Arrays.sort(byName, (x: UTF8String, y: UTF8String) => x.compareTo(y))
+      java.util.Arrays.sort(byName, (x: UTF8String, y: UTF8String) => x.binaryCompare(y))
       val rank = new Array[Int](byName.length)
+      val offsets = new Array[Int](byName.length + 1)
       var k = 0
-      while (k < byName.length) { rank(ids.get(byName(k)).intValue) = k; k += 1 }
-      (byName.map(_.getBytes), rank)
+      while (k < byName.length) {
+        rank(ids.get(byName(k)).intValue) = k
+        offsets(k + 1) = offsets(k) + byName(k).numBytes
+        k += 1
+      }
+      val bytes = new Array[Byte](offsets(byName.length))
+      k = 0
+      while (k < byName.length) { byName(k).writeToMemory(bytes, Platform.BYTE_ARRAY_OFFSET + offsets(k)); k += 1 }
+      (Names(bytes, offsets), rank)
     }
   }
 
@@ -156,38 +202,77 @@ object CellCounts {
     * one sorted, distinct name array. `ids(p)(i)` is the merged id of entry
     * `i` of dictionary `p`.
     */
-  private def merge(dicts: Array[Array[Array[Byte]]]): (Array[String], Array[Array[Int]]) = {
-    val ids = dicts.map(d => new Array[Int](d.length))
+  private def merge(dicts: Array[Names]): (Array[String], Array[Array[Int]]) = {
+    val ids = dicts.map(d => new Array[Int](d.size))
     val next = new Array[Int](dicts.length)
     val heads = new java.util.PriorityQueue[Integer](math.max(1, dicts.length),
-      (p: Integer, q: Integer) => java.util.Arrays.compareUnsigned(dicts(p)(next(p)), dicts(q)(next(q))))
-    dicts.indices.foreach(p => if (dicts(p).nonEmpty) heads.add(p))
+      (p: Integer, q: Integer) => dicts(p).compare(next(p), dicts(q), next(q)))
+    dicts.indices.foreach(p => if (dicts(p).size > 0) heads.add(p))
     val names = Array.newBuilder[String]
-    var last: Array[Byte] = null
+    var lastDict = -1 // where the last name taken came from
+    var lastIndex = -1
     var id = -1
     while (!heads.isEmpty) {
       val p = heads.poll().intValue
-      val name = dicts(p)(next(p))
-      if (last == null || !java.util.Arrays.equals(name, last)) {
+      val i = next(p)
+      if (lastDict < 0 || dicts(p).compare(i, dicts(lastDict), lastIndex) != 0) {
         id += 1
-        names += new String(name, UTF_8)
-        last = name
+        names += dicts(p).string(i)
       }
-      ids(p)(next(p)) = id
+      lastDict = p
+      lastIndex = i
+      ids(p)(i) = id
       next(p) += 1
-      if (next(p) < dicts(p).length) heads.add(p)
+      if (next(p) < dicts(p).size) heads.add(p)
     }
     (names.result(), ids)
+  }
+
+  /** The distinct (value, attribute) pairs among rows `(v(r), a(r))`,
+    * values in `[0, numValues)` and attributes in `[0, numAttrs)`, sorted by
+    * (value, attribute), each with the sum of its rows' `weight`.
+    */
+  private def sumPairs(
+      v: Array[Int],
+      numValues: Int,
+      a: Array[Int],
+      numAttrs: Int,
+      weight: Array[Long]): (Array[Int], Array[Int], Array[Long]) = {
+    // LSD radix sort: stable by attribute, then stable by value.
+    val order = countingOrder(v, numValues, countingOrder(a, numAttrs, Array.range(0, v.length)))
+    def startsRun(k: Int): Boolean = k == 0 || v(order(k)) != v(order(k - 1)) || a(order(k)) != a(order(k - 1))
+    var runs = 0
+    var k = 0
+    while (k < order.length) { if (startsRun(k)) runs += 1; k += 1 }
+    val pairValue = new Array[Int](runs)
+    val pairAttr = new Array[Int](runs)
+    val sum = new Array[Long](runs)
+    var r = -1
+    k = 0
+    while (k < order.length) {
+      val row = order(k)
+      if (startsRun(k)) { r += 1; pairValue(r) = v(row); pairAttr(r) = a(row) }
+      sum(r) += weight(row)
+      k += 1
+    }
+    (pairValue, pairAttr, sum)
   }
 
   /** `rows` stably reordered by `key(row)`, a key in `[0, numKeys)`. */
   private def countingOrder(key: Array[Int], numKeys: Int, rows: Array[Int]): Array[Int] = {
     val start = new Array[Int](numKeys + 1)
-    rows.foreach(r => start(key(r) + 1) += 1)
+    var i = 0
+    while (i < rows.length) { start(key(rows(i)) + 1) += 1; i += 1 }
     var k = 0
     while (k < numKeys) { start(k + 1) += start(k); k += 1 }
     val out = new Array[Int](rows.length)
-    rows.foreach { r => out(start(key(r))) = r; start(key(r)) += 1 }
+    i = 0
+    while (i < rows.length) {
+      val r = rows(i)
+      out(start(key(r))) = r
+      start(key(r)) += 1
+      i += 1
+    }
     out
   }
 }
