@@ -170,27 +170,19 @@ object Betweenness {
     * per-source method: a slice's loops run hot from its first call, so
     * the JIT compiles them into the running call (on-stack replacement),
     * while a per-source method reached its optimizing compile only after a
-    * few whole BC calls, which then ran several times slower.
+    * few whole BC calls, which then ran several times slower. Each level's
+    * expansion and the dependency pass are methods of their own, so that
+    * when the source loop's compiled code is discarded, as when a level is
+    * first expanded the other way, their compiled loops stay in use.
     */
   private def brandesSlice(g: Csr, sources: Array[Int], weights: Array[Int], from: Int, until: Int): Array[Double] = {
-    val acc = new Array[Double](g.numNodes)
-    // -1, 0 and 0 on every node between sources
-    val dist = new Array[Int](g.numNodes)
-    java.util.Arrays.fill(dist, -1)
-    val sigma = new Array[Double](g.numNodes)
-    val coeff = new Array[Double](g.numNodes) // (1 + δ) / σ of finished nodes
-    val order = new Array[Int](g.numNodes) // nodes in BFS visitation order
+    val st = new BrandesState(g)
     val offsets = g.offsets
-    val nbrs = g.neighbors
     val nv = g.numValues
     var src = from
     while (src < until) {
       val s = sources(src)
-      val weight = weights(src)
-      order(0) = s
-      var tail = 1
-      dist(s) = 0
-      sigma(s) = 1.0
+      st.start(s)
       // Adjacency of the nodes not yet reached, per side; a level is expanded
       // from whichever of its frontier and the next side's unvisited nodes
       // has fewer edges to scan.
@@ -202,57 +194,104 @@ object Betweenness {
       var levelEnd = 1
       var d = 0
       while (levelStart < levelEnd) {
-        val nextIsValue = order(levelStart) >= nv
-        var nextEdges = 0L
-        if (frontierEdges <= (if (nextIsValue) valueEdgesLeft else attrEdgesLeft)) {
-          var k = levelStart
-          while (k < levelEnd) {
-            val v = order(k)
-            val sv = sigma(v)
-            var i = offsets(v)
-            val end = offsets(v + 1)
-            while (i < end) {
-              val w = nbrs(i)
-              if (dist(w) < 0) {
-                dist(w) = d + 1
-                order(tail) = w; tail += 1
-                nextEdges += offsets(w + 1) - offsets(w)
-              }
-              if (dist(w) == d + 1) sigma(w) += sv
-              i += 1
-            }
-            k += 1
-          }
-        } else {
-          // Scan the next side's ids. An unvisited node's visited neighbours
-          // all lie on the frontier, and its unvisited ones have σ = 0, so it
-          // sums σ over all neighbours.
-          var u = if (nextIsValue) 0 else nv
-          val sideEnd = if (nextIsValue) nv else g.numNodes
-          while (u < sideEnd) {
-            if (dist(u) < 0) {
-              var paths = 0.0
-              var i = offsets(u)
-              val end = offsets(u + 1)
-              while (i < end) { paths += sigma(nbrs(i)); i += 1 }
-              if (paths > 0) {
-                dist(u) = d + 1
-                sigma(u) = paths
-                order(tail) = u; tail += 1
-                nextEdges += end - offsets(u)
-              }
-            }
-            u += 1
-          }
-        }
+        val nextIsValue = st.order(levelStart) >= nv
+        val nextEdges =
+          if (frontierEdges <= (if (nextIsValue) valueEdgesLeft else attrEdgesLeft)) st.topDown(levelStart, levelEnd, d)
+          else st.bottomUp(nextIsValue, d)
         if (nextIsValue) valueEdgesLeft -= nextEdges else attrEdgesLeft -= nextEdges
         frontierEdges = nextEdges
         levelStart = levelEnd
-        levelEnd = tail
+        levelEnd = st.tail
         d += 1
       }
-      // Dependencies in reverse BFS order. A neighbour one level down has
-      // finished and holds its coefficient; one level up still holds 0.
+      st.dependencies(s, weights(src))
+      src += 1
+    }
+    st.acc
+  }
+
+  /** One slice's Brandes state. `dist` is -1 and `sigma` and `coeff` are 0
+    * on every node between sources; `order(0 until tail)` holds the nodes
+    * reached so far, in BFS order.
+    */
+  private final class BrandesState(g: Csr) {
+    val acc = new Array[Double](g.numNodes)
+    val dist = new Array[Int](g.numNodes)
+    java.util.Arrays.fill(dist, -1)
+    val sigma = new Array[Double](g.numNodes)
+    val coeff = new Array[Double](g.numNodes) // (1 + δ) / σ of finished nodes
+    val order = new Array[Int](g.numNodes)
+    var tail = 0
+    private val offsets = g.offsets
+    private val nbrs = g.neighbors
+    private val nv = g.numValues
+
+    def start(s: Int): Unit = {
+      order(0) = s
+      tail = 1
+      dist(s) = 0
+      sigma(s) = 1.0
+    }
+
+    /** Expands level `d`, `order(levelStart until levelEnd)`, from the
+      * frontier; returns the adjacency of the nodes it reached.
+      */
+    def topDown(levelStart: Int, levelEnd: Int, d: Int): Long = {
+      var nextEdges = 0L
+      var k = levelStart
+      while (k < levelEnd) {
+        val v = order(k)
+        val sv = sigma(v)
+        var i = offsets(v)
+        val end = offsets(v + 1)
+        while (i < end) {
+          val w = nbrs(i)
+          if (dist(w) < 0) {
+            dist(w) = d + 1
+            order(tail) = w; tail += 1
+            nextEdges += offsets(w + 1) - offsets(w)
+          }
+          if (dist(w) == d + 1) sigma(w) += sv
+          i += 1
+        }
+        k += 1
+      }
+      nextEdges
+    }
+
+    /** Expands level `d` by scanning the next side's ids; returns the
+      * adjacency of the nodes it reached. An unvisited node's visited
+      * neighbours all lie on the frontier, and its unvisited ones have
+      * σ = 0, so it sums σ over all neighbours.
+      */
+    def bottomUp(nextIsValue: Boolean, d: Int): Long = {
+      var nextEdges = 0L
+      var u = if (nextIsValue) 0 else nv
+      val sideEnd = if (nextIsValue) nv else g.numNodes
+      while (u < sideEnd) {
+        if (dist(u) < 0) {
+          var paths = 0.0
+          var i = offsets(u)
+          val end = offsets(u + 1)
+          while (i < end) { paths += sigma(nbrs(i)); i += 1 }
+          if (paths > 0) {
+            dist(u) = d + 1
+            sigma(u) = paths
+            order(tail) = u; tail += 1
+            nextEdges += end - offsets(u)
+          }
+        }
+        u += 1
+      }
+      nextEdges
+    }
+
+    /** Adds source `s`'s dependencies, `weight` times, into `acc`, and
+      * resets the nodes it reached. In reverse BFS order, a neighbour one
+      * level down has finished and holds its coefficient; one level up
+      * still holds 0.
+      */
+    def dependencies(s: Int, weight: Int): Unit = {
       val wt = weight.toDouble
       var k = tail - 1
       while (k > 0) { // order(0) == s needs no accumulation into itself
@@ -267,15 +306,12 @@ object Betweenness {
         k -= 1
       }
       if (s >= nv && weight > 1) acc(s) += (wt - 1.0) * (tail - 2)
-      // Reset touched state for the next source.
       k = 0
       while (k < tail) {
         val v = order(k)
         dist(v) = -1; sigma(v) = 0.0; coeff(v) = 0.0
         k += 1
       }
-      src += 1
     }
-    acc
   }
 }
